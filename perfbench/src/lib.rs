@@ -1,19 +1,20 @@
 //! The repository benchmark: one seeded command that prices the path a
 //! deployment runs end to end, and each layer on it.
 //!
-//! Workloads (see `README.md` for why each exists):
+//! This binary runs one phase of a workload; `run.py` runs a workload's
+//! phases in turn and merges their results (see `README.md`). Phases:
 //!
 //! * `transfer-open`: typed transfers at a Poisson 32k tx/s into four
 //!   durable replicas over TCP, confirmed at execution ([`tcp`]);
-//! * `transfer-closed`: the same cluster under a closed loop of 8,192
-//!   outstanding transfers ([`tcp`]);
+//! * `transfer-heavy`: the same at 48k tx/s ([`tcp`]);
 //! * `sim-isolate`: sixteen replicas in the deterministic simulator, five
-//!   of them isolated and healed ([`sim`]).
+//!   of them isolated and healed ([`sim`]); every workload ends with it.
 //!
-//! Usage: `perfbench --workload <name> --seed <n> --seconds <s> --trace
+//! Usage: `perfbench --phase <name> --seed <n> --seconds <s> --trace
 //! <0|1> --scratch <dir>`. The last line of standard output is the
-//! result; the line before it is an information record. A run whose
-//! correctness checks fail prints `"correct": false` and exits non-zero.
+//! phase's result; the line before it is an information record. A phase
+//! whose correctness checks fail prints `"correct": false` and exits
+//! non-zero.
 
 #![forbid(unsafe_code)]
 
@@ -37,14 +38,15 @@ use crate::trace::Tracer;
 /// directory.
 pub const SPAN_DIR: &str = ".perfbench-out";
 
-/// The workload names, as `BENCHMARK.json` declares them.
-pub const WORKLOADS: [&str; 3] = ["transfer-open", "transfer-closed", "sim-isolate"];
+/// The phase names: each `BENCHMARK.json` workload runs its `transfer-*`
+/// phase, then `sim-isolate`.
+pub const PHASES: [&str; 3] = ["transfer-open", "transfer-heavy", "sim-isolate"];
 
 /// Parsed command line.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Args {
-    /// One of [`WORKLOADS`].
-    pub workload: String,
+    /// One of [`PHASES`].
+    pub phase: String,
     /// Workload seed.
     pub seed: u64,
     /// Measurement time.
@@ -61,13 +63,12 @@ pub struct Args {
 ///
 /// Names the missing, unknown or malformed flag.
 pub fn parse_args(argv: &[String]) -> Result<Args, String> {
-    let (mut workload, mut seed, mut seconds, mut trace, mut scratch) =
-        (None, None, None, None, None);
+    let (mut phase, mut seed, mut seconds, mut trace, mut scratch) = (None, None, None, None, None);
     let mut it = argv.iter();
     while let Some(flag) = it.next() {
         let value = it.next().ok_or_else(|| format!("{flag} needs a value"))?;
         match flag.as_str() {
-            "--workload" => workload = Some(value.clone()),
+            "--phase" => phase = Some(value.clone()),
             "--seed" => seed = Some(value.parse().map_err(|_| format!("bad --seed {value}"))?),
             "--seconds" => {
                 seconds = Some(value.parse().map_err(|_| format!("bad --seconds {value}"))?)
@@ -83,16 +84,16 @@ pub fn parse_args(argv: &[String]) -> Result<Args, String> {
             _ => return Err(format!("unknown flag {flag}")),
         }
     }
-    let workload: String = workload.ok_or("--workload is required")?;
-    if !WORKLOADS.contains(&workload.as_str()) {
-        return Err(format!("unknown workload {workload}; expected one of {WORKLOADS:?}"));
+    let phase: String = phase.ok_or("--phase is required")?;
+    if !PHASES.contains(&phase.as_str()) {
+        return Err(format!("unknown phase {phase}; expected one of {PHASES:?}"));
     }
     let seconds: f64 = seconds.ok_or("--seconds is required")?;
     if !(seconds > 0.0 && seconds <= 120.0) {
         return Err(format!("--seconds {seconds} is outside (0, 120]"));
     }
     Ok(Args {
-        workload,
+        phase,
         seed: seed.ok_or("--seed is required")?,
         seconds,
         trace: trace.ok_or("--trace is required")?,
@@ -117,7 +118,7 @@ pub fn write_spans(tracer: &Tracer, trace: bool, run: &str) -> String {
     }
 }
 
-/// Runs the workload `args` names and prints its report; returns the
+/// Runs the phase `args` names and prints its report; returns the
 /// process exit code.
 pub fn main_with(args: &Args, alloc: Option<&CountingAlloc>) -> i32 {
     let epoch = Instant::now();
@@ -126,15 +127,12 @@ pub fn main_with(args: &Args, alloc: Option<&CountingAlloc>) -> i32 {
         return 2;
     }
     let host = procfs::host_record(&args.scratch);
-    let mut report: Report = match args.workload.as_str() {
+    let mut report: Report = match args.phase.as_str() {
         "sim-isolate" => sim::run(args.seed, args.seconds, epoch, args.trace, alloc),
-        tcp_workload => {
-            let mode = if tcp_workload == "transfer-open" {
-                tcp::Mode::Open { rate_tps: tcp::OPEN_RATE_TPS }
-            } else {
-                tcp::Mode::Closed { window: tcp::CLOSED_WINDOW }
-            };
-            let name = format!("{tcp_workload}-seed{}", args.seed);
+        tcp_phase => {
+            let rate_tps =
+                if tcp_phase == "transfer-open" { tcp::OPEN_RATE_TPS } else { tcp::HEAVY_RATE_TPS };
+            let name = format!("{tcp_phase}-seed{}", args.seed);
             let opts = tcp::Opts {
                 name: &name,
                 seed: args.seed,
@@ -143,7 +141,7 @@ pub fn main_with(args: &Args, alloc: Option<&CountingAlloc>) -> i32 {
                 epoch,
                 trace: args.trace,
             };
-            let r = tcp::run(mode, &opts);
+            let r = tcp::run(rate_tps, &opts);
             // The replicas' threads stop within a poll interval of the
             // cluster being dropped; let them before their stores go.
             std::thread::sleep(tcp::TEARDOWN_SETTLE);
@@ -154,7 +152,7 @@ pub fn main_with(args: &Args, alloc: Option<&CountingAlloc>) -> i32 {
     if let Err(e) = std::fs::remove_dir_all(&args.scratch) {
         report.problem(format!("removing {}: {e}", args.scratch.display()));
     }
-    report.note("workload", format!("\"{}\"", args.workload));
+    report.note("phase", format!("\"{}\"", args.phase));
     report.note("seed", args.seed.to_string());
     for p in &report.problems {
         eprintln!("perfbench: check failed: {p}");
@@ -175,21 +173,22 @@ mod tests {
     #[test]
     fn parses_the_contract_command_line() {
         let a =
-            parse_args(&argv("--workload sim-isolate --seed 3 --seconds 10 --trace 1 --scratch x"))
+            parse_args(&argv("--phase sim-isolate --seed 3 --seconds 10 --trace 1 --scratch x"))
                 .unwrap();
-        assert_eq!(a.workload, "sim-isolate");
+        assert_eq!(a.phase, "sim-isolate");
         assert_eq!((a.seed, a.seconds, a.trace), (3, 10.0, true));
-        assert!(parse_args(&argv("--workload nope --seed 3 --seconds 10 --trace 0 --scratch x"))
-            .is_err());
+        assert!(
+            parse_args(&argv("--phase nope --seed 3 --seconds 10 --trace 0 --scratch x")).is_err()
+        );
         assert!(parse_args(&argv(
-            "--workload sim-isolate --seed 3 --seconds 10 --trace 2 --scratch x"
+            "--phase sim-isolate --seed 3 --seconds 10 --trace 2 --scratch x"
         ))
         .is_err());
         assert!(
-            parse_args(&argv("--workload sim-isolate --seconds 10 --trace 0 --scratch x")).is_err()
+            parse_args(&argv("--phase sim-isolate --seconds 10 --trace 0 --scratch x")).is_err()
         );
         assert!(parse_args(&argv(
-            "--workload sim-isolate --seed 3 --seconds 0 --trace 0 --scratch x"
+            "--phase sim-isolate --seed 3 --seconds 0 --trace 0 --scratch x"
         ))
         .is_err());
     }

@@ -1,5 +1,5 @@
-//! The `transfer-open` and `transfer-closed` workloads: typed transfers
-//! over two framed client connections into four durable replicas on
+//! The `transfer-open` and `transfer-heavy` phases: typed transfers at a
+//! Poisson rate over two framed client connections into four durable replicas on
 //! loopback, confirmed when a [`LedgerReplica`] has executed them.
 //!
 //! Two benchmark threads drive the program under test: the generator
@@ -13,7 +13,7 @@ use std::collections::VecDeque;
 use std::io::Write;
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::time::{Duration, Instant};
 
 use tetrabft::Params;
@@ -25,7 +25,7 @@ use tetrabft_wire::Wire;
 
 use crate::load::{conn_of, dial, frame, PoissonSchedule, Transfers};
 use crate::procfs;
-use crate::report::{json_num, Report};
+use crate::report::Report;
 use crate::stats::{median, Summary};
 use crate::trace::Tracer;
 
@@ -46,7 +46,7 @@ const CONFIRM_NODE: usize = 0;
 const REPLAY_NODE: usize = 3;
 /// Cluster set-ups per run; `setup_s` is their median, the last one is
 /// measured.
-const SETUPS: usize = 5;
+const SETUPS: usize = 11;
 /// Load offered before the measurement window opens.
 const WARMUP: Duration = Duration::from_secs(1);
 /// After the load stops, how long unconfirmed transfers may still
@@ -62,32 +62,17 @@ const OUTPUT_POLL: Duration = Duration::from_millis(5);
 /// How often the confirmer samples the mempool snapshot files.
 const STORE_SAMPLE_EVERY: Duration = Duration::from_millis(250);
 
-/// Open loop at 32k tx/s: about a third of the knee measured on a 2-core
-/// VM, where latency is steady.
+/// `transfer-open`: 32k tx/s, about a third of the knee measured on a
+/// 2-core VM, where latency is steady.
 pub const OPEN_RATE_TPS: f64 = 32_000.0;
-/// Closed-loop window: two outstanding transfers per account.
-pub const CLOSED_WINDOW: u64 = 8_192;
-
-/// How the generator offers load.
-#[derive(Debug, Clone, Copy)]
-pub enum Mode {
-    /// Poisson arrivals at a fixed rate, whatever the system does.
-    Open {
-        /// Offered transfers per second.
-        rate_tps: f64,
-    },
-    /// A fixed number of outstanding transfers; each executed transfer
-    /// releases its account's next one.
-    Closed {
-        /// Outstanding transfers (a multiple of the account count).
-        window: u64,
-    },
-}
+/// `transfer-heavy`: 48k tx/s, about half the knee. At 64k the p99 of
+/// runs on the same host differed by a quarter.
+pub const HEAVY_RATE_TPS: f64 = 48_000.0;
 
 /// Run-wide settings.
 #[derive(Debug)]
 pub struct Opts<'a> {
-    /// Workload name, for the span log's file name.
+    /// Phase and seed, for the span log's file name.
     pub name: &'a str,
     /// Workload seed.
     pub seed: u64,
@@ -186,7 +171,6 @@ struct Confirmer {
     rejected: u64,
     done: bool,
     reg_rx: Option<Receiver<Msg>>,
-    release_tx: Option<Sender<Vec<u32>>>,
     window: (Instant, Instant),
     problems: Vec<String>,
     // Measurements over the window.
@@ -223,7 +207,6 @@ impl Confirmer {
             rejected: 0,
             done: false,
             reg_rx: None,
-            release_tx: None,
             window: (now, now),
             problems: Vec::new(),
             confirmed_in_window: 0,
@@ -315,7 +298,6 @@ impl Confirmer {
         }
         self.rejected += rejected.len() as u64;
         let mut rejected = rejected.iter().map(|&(i, _)| i).peekable();
-        let mut releases = Vec::new();
         for (i, bytes) in fin.block.txs.iter().enumerate() {
             let Ok(t) = Transfer::from_bytes(bytes) else {
                 self.problem(format!("slot {} holds a non-transfer", fin.slot.0));
@@ -326,7 +308,6 @@ impl Confirmer {
                 continue;
             }
             self.confirmed += 1;
-            releases.push(t.from.0 as u32);
             if self.in_window(p.due) {
                 let interval = (p.due - self.window.0).as_secs() as usize;
                 if interval >= self.latency_ms.len() {
@@ -339,11 +320,6 @@ impl Confirmer {
             }
             if self.in_window(t_exec) {
                 self.confirmed_in_window += 1;
-            }
-        }
-        if let Some(tx) = &self.release_tx {
-            if !releases.is_empty() {
-                let _ = tx.send(releases);
             }
         }
         let end = Instant::now();
@@ -614,42 +590,6 @@ impl Generator<'_> {
             }
         }
     }
-
-    fn closed_loop(&mut self, window: u64, releases: &Receiver<Vec<u32>>) -> Result<(), String> {
-        let per_account = window / ACCOUNTS;
-        let now = Instant::now();
-        for account in 0..ACCOUNTS {
-            for _ in 0..per_account {
-                self.add(account, now);
-            }
-        }
-        self.flush()?;
-        let end = self.window.1;
-        loop {
-            let now = Instant::now();
-            self.tick(now);
-            if now >= end {
-                return Ok(());
-            }
-            let wait = (end - now).min(Duration::from_millis(10));
-            let wait = if self.start.is_none() {
-                wait.min(self.window.0.saturating_duration_since(now))
-            } else {
-                wait
-            };
-            match releases.recv_timeout(wait) {
-                Ok(accounts) => {
-                    let due = Instant::now();
-                    for a in accounts.into_iter().chain(releases.try_iter().flatten()) {
-                        self.add(u64::from(a), due);
-                    }
-                    self.flush()?;
-                }
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => return Err("confirmer stopped early".into()),
-            }
-        }
-    }
 }
 
 fn dir_bytes(dir: &Path) -> u64 {
@@ -660,8 +600,8 @@ fn dir_bytes(dir: &Path) -> u64 {
         .unwrap_or(0)
 }
 
-/// Runs one `transfer-*` workload and reports it.
-pub fn run(mode: Mode, opts: &Opts<'_>) -> Report {
+/// Runs one `transfer-*` phase and reports it.
+pub fn run(rate_tps: f64, opts: &Opts<'_>) -> Report {
     let mut report = Report::default();
     let mut tracer = Tracer::new(opts.epoch, opts.trace, 0);
     let mut setup_s = Vec::with_capacity(SETUPS);
@@ -687,16 +627,10 @@ pub fn run(mode: Mode, opts: &Opts<'_>) -> Report {
     let Live { cluster, net, mut conns, mut confirmer } = live.expect("at least one set-up");
 
     let (reg_tx, reg_rx) = mpsc::channel();
-    let (release_tx, release_rx) = mpsc::channel();
     let load_start = Instant::now() + Duration::from_millis(1);
     let window = (load_start + WARMUP, load_start + WARMUP + Duration::from_secs_f64(opts.seconds));
     confirmer.window = window;
     confirmer.reg_rx = Some(reg_rx);
-    if matches!(mode, Mode::Closed { .. }) {
-        confirmer.release_tx = Some(release_tx);
-    } else {
-        drop(release_tx);
-    }
     let deadline = window.1 + GRACE;
     let confirmer_thread = std::thread::Builder::new()
         .name("bench-confirmer".into())
@@ -716,10 +650,7 @@ pub fn run(mode: Mode, opts: &Opts<'_>) -> Report {
         start: None,
         net: &net,
     };
-    let generated = match mode {
-        Mode::Open { rate_tps } => gen.open_loop(rate_tps, opts.seed, load_start),
-        Mode::Closed { window } => gen.closed_loop(window, &release_rx),
-    };
+    let generated = gen.open_loop(rate_tps, opts.seed, load_start);
     let now = Instant::now();
     if now < window.1 {
         std::thread::sleep(window.1 - now);
@@ -802,15 +733,8 @@ pub fn run(mode: Mode, opts: &Opts<'_>) -> Report {
     let mut all: Vec<f64> = confirmer.latency_ms.concat();
     let latency = Summary::of(&mut all);
     report.e2e("setup_s", median(&setup_s), "s");
-    if let Mode::Open { .. } = mode {
-        report.e2e("confirm_p50_ms", p50, "ms");
-        report.e2e("confirm_p99_ms", p99, "ms");
-    } else {
-        // A closed loop's latency is its window over its throughput
-        // (Little's law): reported, but gated through `confirmed_tps`.
-        report.note("confirm_p50_ms", json_num(p50));
-        report.note("confirm_p99_ms", json_num(p99));
-    }
+    report.e2e("confirm_p50_ms", p50, "ms");
+    report.e2e("confirm_p99_ms", p99, "ms");
     report.e2e("confirmed_tps", confirmer.confirmed_in_window as f64 / wall, "1/s");
     report.e2e("cpu_ms_per_ktx", cpu * 1e3 / ktx, "ms");
     report.e2e("peak_rss_mb", procfs::peak_rss_mb(), "MB");
