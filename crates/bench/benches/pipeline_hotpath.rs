@@ -1,35 +1,25 @@
 //! **Zero-alloc consensus hot path** — the perf harness gating the scratch
 //! buffer, tally-table, inline-vec, and batched-stepping work.
 //!
-//! Two pipelines run the identical good-case multi-shot scenario with
-//! *durable* nodes — the deployed shape, where every persist seal writes
-//! the dirtied vote books to the write-ahead log:
+//! The pipeline runs the good-case multi-shot scenario with *durable*
+//! nodes — the deployed shape, where every persist seal writes the dirtied
+//! vote books to the write-ahead log — through the simulator, whose every
+//! step seals once per coalesced batch of same-instant events. A counting
+//! global allocator prices every window: engine steps per wall second,
+//! blocks finalized per second, and allocations/bytes per step.
 //!
-//! * **baseline** — `Params::with_hotpath_baseline(true)` routes quorum
-//!   checks through the retained pre-tally-table allocating scans, and the
-//!   simulator steps unbatched: one persist/flush seal (one WAL write per
-//!   dirtied slot) per event — the shape of the code before this
-//!   optimization pass;
-//! * **hot path** — tally-table quorum checks, scratch-buffer reuse,
-//!   inline action buffers, and batched stepping (one seal per coalesced
-//!   batch of same-instant events), all on.
-//!
-//! Decisions are identical either way (asserted); only the cost differs.
-//! A counting global allocator prices every window: engine steps per wall
-//! second, blocks finalized per second, and allocations/bytes per step.
-//!
-//! A third measurement isolates where seal coalescing acts in deployment:
+//! A second measurement isolates where seal coalescing acts in deployment:
 //! the **mailbox drain** replays one node's recorded good-case traffic
-//! into a durable engine — per-event sealing versus [`Engine::step_batch`]
-//! over 64-event chunks, the TCP runtime's drain bound. (The simulator's
-//! global queue interleaves targets, so consecutive same-node events are
-//! rare there; a per-node mailbox is where batching pays.)
+//! into a durable engine through [`Engine::batch`] twice — in batches of
+//! one (a seal per event) and in batches of 64, the TCP runtime's drain
+//! bound. (The simulator's global queue interleaves targets, so
+//! consecutive same-node events are rare there; a per-node mailbox is
+//! where batching pays.)
 //!
 //! Asserted gates (smoke mode included):
-//! * mailbox-drain steps/s ≥ 2× the per-event-seal baseline, on the
-//!   identical finalized chain;
-//! * good-case steady-state allocations per step stay bounded (and below
-//!   baseline), and the end-to-end pipeline beats the baseline;
+//! * mailbox-drain steps/s at batch 64 ≥ 2× batch 1, on the identical
+//!   finalized chain;
+//! * good-case steady-state allocations per pipeline step < 6.0 at every n;
 //! * a warmed engine fed duplicate votes allocates **exactly zero** — the
 //!   strict steady-state target, checked at the dispatch level where no
 //!   sim bookkeeping (event queue, outputs, metrics) can blur it.
@@ -67,25 +57,19 @@ struct Sample {
 /// Runs n *durable* nodes of the good case (no faults, synchronous unit
 /// delays, timers effectively off) over a warmup then a measured window.
 /// Durable nodes pay the write-ahead persist on every seal, so the seal
-/// cadence — per event unbatched, per batch on the hot path — is priced
-/// the way the deployed runtime pays it. `FsyncPolicy::Never` keeps disk
-/// sync jitter out of the measurement; the WAL writes themselves stay.
-fn run_pipeline(n: usize, baseline: bool, horizon: u64) -> Sample {
+/// cadence is priced the way the deployed runtime pays it.
+/// `FsyncPolicy::Never` keeps disk sync jitter out of the measurement; the
+/// WAL writes themselves stay.
+fn run_pipeline(n: usize, horizon: u64) -> Sample {
     let cfg = Config::new(n).expect("valid n");
-    let params =
-        Params::new(1_000_000).with_fsync(FsyncPolicy::Never).with_hotpath_baseline(baseline);
-    let root = std::env::temp_dir().join(format!(
-        "tetrabft-hotpath-{}-n{n}-b{}",
-        std::process::id(),
-        u8::from(baseline)
-    ));
+    let params = Params::new(1_000_000).with_fsync(FsyncPolicy::Never);
+    let root = std::env::temp_dir().join(format!("tetrabft-hotpath-{}-n{n}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
     let stores = root.clone();
-    let mut sim =
-        SimBuilder::new(n).policy(LinkPolicy::synchronous(1)).batched(!baseline).build(move |id| {
-            MultiShotNode::durable(cfg, params, id, stores.join(format!("node{}", id.0)))
-                .expect("fresh durable store")
-        });
+    let mut sim = SimBuilder::new(n).policy(LinkPolicy::synchronous(1)).build(move |id| {
+        MultiShotNode::durable(cfg, params, id, stores.join(format!("node{}", id.0)))
+            .expect("fresh durable store")
+    });
 
     // Warmup: every per-node container (registers, scratch buffers, event
     // queue, outbox) reaches its steady-state footprint.
@@ -132,7 +116,7 @@ impl Transport<MsMessage, Finalized> for DropTransport {
 }
 
 /// Drops sends and timers, but records finalizations: how the mailbox
-/// drain proves both seal cadences decide the identical chain.
+/// drain proves both batch sizes decide the identical chain.
 #[derive(Default)]
 struct SinkTransport {
     outputs: u64,
@@ -148,8 +132,8 @@ impl Transport<MsMessage, Finalized> for SinkTransport {
     }
 }
 
-/// Batch bound for the hot mailbox drain — the same bound the TCP runtime
-/// uses when draining a node's event queue per wakeup.
+/// Batch bound for the coalesced mailbox drain — the same bound the TCP
+/// runtime uses when draining a node's event queue per wakeup.
 const MAILBOX_BATCH: usize = 64;
 
 /// Records every delivery into node 0's mailbox over a traced good-case
@@ -184,23 +168,16 @@ struct DrainSample {
 }
 
 /// Replays node 0's recorded traffic into a fresh *durable* engine — the
-/// deployed runtime shape, one node draining its mailbox.
-///
-/// * **baseline** — one `on_deliver` per event: every event pays a full
-///   persist/flush seal (a WAL write per dirtied slot), the pre-batching
-///   cadence;
-/// * **hot path** — [`Engine::step_batch`] over [`MAILBOX_BATCH`]-event
-///   chunks: the same dispatches, one seal per chunk, so re-dirtied slots
-///   collapse to a single WAL record per batch.
-fn drain_mailbox(n: usize, events: &[(Time, NodeId, MsMessage)], baseline: bool) -> DrainSample {
+/// deployed runtime shape, one node draining its mailbox — in batches of
+/// `batch` events. Batch 1 pays a full persist/flush seal (a WAL write
+/// per dirtied slot) per event; batch [`MAILBOX_BATCH`] runs the same
+/// dispatches with one seal per batch, so re-dirtied slots collapse to a
+/// single WAL record.
+fn drain_mailbox(n: usize, events: &[(Time, NodeId, MsMessage)], batch: usize) -> DrainSample {
     let cfg = Config::new(n).expect("valid n");
-    let params =
-        Params::new(1_000_000).with_fsync(FsyncPolicy::Never).with_hotpath_baseline(baseline);
-    let root = std::env::temp_dir().join(format!(
-        "tetrabft-mailbox-{}-n{n}-b{}",
-        std::process::id(),
-        u8::from(baseline)
-    ));
+    let params = Params::new(1_000_000).with_fsync(FsyncPolicy::Never);
+    let root =
+        std::env::temp_dir().join(format!("tetrabft-mailbox-{}-n{n}-b{batch}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
     let node = MultiShotNode::durable(cfg, params, NodeId(0), &root).expect("fresh durable store");
     let mut engine = Engine::new(node, NodeId(0), n);
@@ -209,21 +186,12 @@ fn drain_mailbox(n: usize, events: &[(Time, NodeId, MsMessage)], baseline: bool)
 
     let alloc0 = ALLOC.snapshot();
     let wall = Instant::now();
-    if baseline {
-        for (at, from, msg) in events {
-            engine.on_deliver(*from, msg.clone(), *at, &mut transport);
-        }
-    } else {
-        for chunk in events.chunks(MAILBOX_BATCH) {
-            let now = chunk.last().expect("chunks are non-empty").0;
-            engine.step_batch(
-                chunk
-                    .iter()
-                    .map(|(_, from, msg)| EngineEvent::Deliver { from: *from, msg: msg.clone() }),
-                now,
-                &mut transport,
-            );
-        }
+    for chunk in events.chunks(batch) {
+        engine.batch(&mut transport, |b| {
+            for (at, from, msg) in chunk {
+                b.step(EngineEvent::Deliver { from: *from, msg: msg.clone() }, *at);
+            }
+        });
     }
     let elapsed = wall.elapsed().as_secs_f64();
     let alloc1 = ALLOC.snapshot();
@@ -259,18 +227,25 @@ fn assert_steady_state_is_alloc_free() {
         })
         .collect();
 
+    // One delivery per batch: every step pays its own seal.
+    let mut deliver = |from: NodeId, msg: &MsMessage, round: u64| {
+        engine.batch(&mut transport, |b| {
+            b.step(EngineEvent::Deliver { from, msg: msg.clone() }, Time(round));
+        });
+    };
+
     // Two warm passes: the first grows containers to steady state, the
     // second confirms the shapes have settled before the counted window.
     for round in 1..=2u64 {
         for (from, msg) in &votes {
-            engine.on_deliver(*from, msg.clone(), Time(round), &mut transport);
+            deliver(*from, msg, round);
         }
     }
 
     let before = ALLOC.snapshot();
     for round in 0..100u64 {
         for (from, msg) in &votes {
-            engine.on_deliver(*from, msg.clone(), Time(3 + round), &mut transport);
+            deliver(*from, msg, 3 + round);
         }
     }
     let after = ALLOC.snapshot();
@@ -288,48 +263,50 @@ fn assert_steady_state_is_alloc_free() {
     );
 }
 
-/// The asserted ≥ 2× gate: drain the recorded mailbox both ways and
-/// compare engine steps (drained events) per second.
+/// The asserted ≥ 2× gate: drain the recorded mailbox in batches of one
+/// and of [`MAILBOX_BATCH`], and compare engine steps (drained events) per
+/// second.
 fn run_mailbox_gate(json_sections: &mut Vec<String>) {
     let n = 4;
     let horizon: u64 = if smoke() { 800 } else { 3_000 };
     let events = recorded_mailbox(n, horizon);
     assert!(events.len() > 1_000, "the recorded run must produce real traffic");
 
-    let base = drain_mailbox(n, &events, true);
-    let fast = drain_mailbox(n, &events, false);
+    let single = drain_mailbox(n, &events, 1);
+    let batched = drain_mailbox(n, &events, MAILBOX_BATCH);
     assert_eq!(
-        (base.outputs, base.tip),
-        (fast.outputs, fast.tip),
-        "both seal cadences must finalize the identical chain"
+        (single.outputs, single.tip),
+        (batched.outputs, batched.tip),
+        "both batch sizes must finalize the identical chain"
     );
-    assert!(fast.tip > 0, "the drained mailbox must actually finalize blocks");
+    assert!(batched.tip > 0, "the drained mailbox must actually finalize blocks");
 
-    let speedup = fast.events_per_s / base.events_per_s;
+    let speedup = batched.events_per_s / single.events_per_s;
     println!(
-        "mailbox drain (n={n}, {} events, durable): baseline {:.0}k steps/s \
-         ({:.2} allocs/step) → batched {:.0}k steps/s ({:.2} allocs/step), {speedup:.2}x",
+        "mailbox drain (n={n}, {} events, durable): batch 1 {:.0}k steps/s \
+         ({:.2} allocs/step) → batch {MAILBOX_BATCH} {:.0}k steps/s ({:.2} allocs/step), \
+         {speedup:.2}x",
         events.len(),
-        base.events_per_s / 1e3,
-        base.allocs_per_event,
-        fast.events_per_s / 1e3,
-        fast.allocs_per_event,
+        single.events_per_s / 1e3,
+        single.allocs_per_event,
+        batched.events_per_s / 1e3,
+        batched.allocs_per_event,
     );
     json_sections.push(format!(
-        "  \"mailbox_drain\": {{\"n\": {n}, \"events\": {}, \"steps_per_s\": {:.0}, \
-         \"baseline_steps_per_s\": {:.0}, \"speedup\": {speedup:.2}, \
-         \"allocs_per_step\": {:.3}, \"baseline_allocs_per_step\": {:.3}}}",
+        "  \"mailbox_drain\": {{\"n\": {n}, \"events\": {}, \"batch\": {MAILBOX_BATCH}, \
+         \"steps_per_s\": {:.0}, \"batch1_steps_per_s\": {:.0}, \"speedup\": {speedup:.2}, \
+         \"allocs_per_step\": {:.3}, \"batch1_allocs_per_step\": {:.3}}}",
         events.len(),
-        fast.events_per_s,
-        base.events_per_s,
-        fast.allocs_per_event,
-        base.allocs_per_event,
+        batched.events_per_s,
+        single.events_per_s,
+        batched.allocs_per_event,
+        single.allocs_per_event,
     ));
 
     assert!(
         speedup >= 2.0,
-        "batched stepping must drain the mailbox ≥ 2x as fast as per-event \
-         sealing (got {speedup:.2}x)"
+        "batch-{MAILBOX_BATCH} stepping must drain the mailbox ≥ 2x as fast as batch-1 \
+         (got {speedup:.2}x)"
     );
     println!("mailbox-drain speedup: {speedup:.2}x (required ≥ 2x)");
 }
@@ -344,84 +321,40 @@ fn main() {
     run_mailbox_gate(&mut json_sections);
 
     let mut rows: Vec<Vec<String>> = Vec::new();
-    let mut best_speedup = 0.0f64;
     let mut json_entries: Vec<String> = Vec::new();
     for &n in sizes {
-        let base = run_pipeline(n, true, horizon);
-        let fast = run_pipeline(n, false, horizon);
-        assert_eq!(
-            base.tip, fast.tip,
-            "baseline and hot path must finalize the same chain (n={n})"
-        );
-        let speedup = fast.steps_per_s / base.steps_per_s;
-        best_speedup = best_speedup.max(speedup);
+        let sample = run_pipeline(n, horizon);
+        assert!(sample.tip > 0, "the pipeline must finalize blocks (n={n})");
         rows.push(vec![
             n.to_string(),
-            format!("{:.0}k", base.steps_per_s / 1e3),
-            format!("{:.0}k", fast.steps_per_s / 1e3),
-            format!("{speedup:.2}x"),
-            format!("{:.2}", base.allocs_per_step),
-            format!("{:.2}", fast.allocs_per_step),
-            format!("{:.0}", fast.bytes_per_step),
-            format!("{:.0}k", fast.blocks_per_s / 1e3),
+            format!("{:.0}k", sample.steps_per_s / 1e3),
+            format!("{:.2}", sample.allocs_per_step),
+            format!("{:.0}", sample.bytes_per_step),
+            format!("{:.0}k", sample.blocks_per_s / 1e3),
         ]);
         json_entries.push(format!(
-            "    {{\"n\": {n}, \"steps_per_s\": {:.0}, \"baseline_steps_per_s\": {:.0}, \
-             \"speedup\": {speedup:.2}, \"allocs_per_step\": {:.3}, \
-             \"baseline_allocs_per_step\": {:.3}, \"bytes_per_step\": {:.1}, \
-             \"blocks_per_s\": {:.0}}}",
-            fast.steps_per_s,
-            base.steps_per_s,
-            fast.allocs_per_step,
-            base.allocs_per_step,
-            fast.bytes_per_step,
-            fast.blocks_per_s,
+            "    {{\"n\": {n}, \"steps_per_s\": {:.0}, \"allocs_per_step\": {:.3}, \
+             \"bytes_per_step\": {:.1}, \"blocks_per_s\": {:.0}}}",
+            sample.steps_per_s, sample.allocs_per_step, sample.bytes_per_step, sample.blocks_per_s,
         ));
 
         // Sim-level steady-state allocation bound: the full harness (event
         // queue, slot turnover, outputs) plus the durable store add
         // bookkeeping on top of the zero-alloc dispatch, but the good
-        // case must stay bounded — and below baseline.
+        // case must stay bounded.
         assert!(
-            fast.allocs_per_step < 6.0,
+            sample.allocs_per_step < 6.0,
             "good-case allocations per step must stay below 6.0, got {:.3} at n={n}",
-            fast.allocs_per_step
-        );
-        assert!(
-            fast.allocs_per_step < base.allocs_per_step,
-            "hot path must allocate less than baseline at n={n} ({:.3} vs {:.3})",
-            fast.allocs_per_step,
-            base.allocs_per_step
+            sample.allocs_per_step
         );
     }
 
     print_table(
-        "Good-case pipeline hot path (baseline = allocating scans, unbatched)",
-        &[
-            "n",
-            "base steps/s",
-            "hot steps/s",
-            "speedup",
-            "base allocs/step",
-            "hot allocs/step",
-            "hot B/step",
-            "blocks/s",
-        ],
+        "Good-case pipeline hot path (durable nodes)",
+        &["n", "steps/s", "allocs/step", "B/step", "blocks/s"],
         &rows,
     );
 
     json_sections.push(format!("  \"pipeline_hotpath\": [\n{}\n  ]", json_entries.join(",\n")));
     println!("\n{{\n{}\n}}", json_sections.join(",\n"));
-
-    // The end-to-end pipeline must not regress either — the big asserted
-    // win (≥ 2×) is the mailbox drain above, where seal coalescing acts.
-    // Smoke windows are too short for a stable wall-clock comparison, so
-    // this gate (unlike the mailbox and allocation gates) is full-run only.
-    if !smoke() {
-        assert!(
-            best_speedup > 1.0,
-            "the hot path must beat the baseline end-to-end (best {best_speedup:.2}x)"
-        );
-    }
-    println!("\nend-to-end pipeline speedup: {best_speedup:.2}x");
 }

@@ -1,14 +1,16 @@
-//! Criterion micro-bench: cost of the safe-value determination algorithms
+//! Micro-bench: cost of the safe-value determination algorithms
 //! (Algorithm 4 / Algorithm 5), whose complexity the paper states as
 //! `O(v · m · n)` with `m = O(n)` candidate values. Sweeping `n` at fixed
-//! `v` and `v` at fixed `n` lets the Criterion report exhibit the claimed
+//! `v` and `v` at fixed `n` lets the median times exhibit the claimed
 //! linear factors.
+//!
+//! Set `TETRABFT_BENCH_SMOKE=1` to run each body once (CI smoke).
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use tetrabft::rules::{leader_determine_safe, node_determine_safe};
 use tetrabft::{ProofData, SuggestData};
+use tetrabft_bench::{median_time, print_table};
 use tetrabft_types::{Config, Value, View, VoteInfo};
 
 /// Worst-case-ish inputs: every node reports distinct values at staggered
@@ -41,68 +43,47 @@ fn proofs(n: usize, view: u64) -> Vec<ProofData> {
         .collect()
 }
 
-fn bench_rules(c: &mut Criterion) {
-    let mut group = c.benchmark_group("algorithm4_leader_safe");
-    for &n in &[4usize, 16, 64] {
-        let cfg = Config::new(n).unwrap();
-        let input = suggests(n, 16);
-        group.bench_with_input(BenchmarkId::new("n_sweep_v16", n), &n, |b, _| {
-            b.iter(|| {
-                black_box(leader_determine_safe(
-                    &cfg,
-                    black_box(&input),
-                    View(16),
-                    Value::from_u64(999),
-                ))
-            })
-        });
-    }
-    for &v in &[4u64, 16, 64] {
-        let cfg = Config::new(16).unwrap();
-        let input = suggests(16, v);
-        group.bench_with_input(BenchmarkId::new("v_sweep_n16", v), &v, |b, _| {
-            b.iter(|| {
-                black_box(leader_determine_safe(
-                    &cfg,
-                    black_box(&input),
-                    View(v),
-                    Value::from_u64(999),
-                ))
-            })
-        });
-    }
-    group.finish();
+const SAMPLES: usize = 20;
 
-    let mut group = c.benchmark_group("algorithm5_node_safe");
-    for &n in &[4usize, 16, 64] {
+fn main() {
+    let mut rows = Vec::new();
+    // (sweep, n, v) points: n at fixed v = 16, then v at fixed n = 16.
+    let points: Vec<(&str, usize, u64)> = [4usize, 16, 64]
+        .map(|n| ("n_sweep_v16", n, 16))
+        .into_iter()
+        .chain([4u64, 16, 64].map(|v| ("v_sweep_n16", 16, v)))
+        .collect();
+    for &(sweep, n, v) in &points {
         let cfg = Config::new(n).unwrap();
-        let input = proofs(n, 16);
-        group.bench_with_input(BenchmarkId::new("n_sweep_v16", n), &n, |b, _| {
-            b.iter(|| {
-                black_box(node_determine_safe(
-                    &cfg,
-                    black_box(&input),
-                    View(16),
-                    Value::from_u64(0),
-                ))
-            })
+        let input = suggests(n, v);
+        let t = median_time(SAMPLES, || {
+            leader_determine_safe(&cfg, black_box(&input), View(v), Value::from_u64(999))
         });
+        rows.push(vec![
+            "algorithm4_leader_safe".into(),
+            sweep.into(),
+            n.to_string(),
+            v.to_string(),
+            format!("{t:.2?}"),
+        ]);
     }
-    for &v in &[4u64, 16, 64] {
-        let cfg = Config::new(16).unwrap();
-        let input = proofs(16, v);
-        group.bench_with_input(BenchmarkId::new("v_sweep_n16", v), &v, |b, _| {
-            b.iter(|| {
-                black_box(node_determine_safe(&cfg, black_box(&input), View(v), Value::from_u64(0)))
-            })
+    for &(sweep, n, v) in &points {
+        let cfg = Config::new(n).unwrap();
+        let input = proofs(n, v);
+        let t = median_time(SAMPLES, || {
+            node_determine_safe(&cfg, black_box(&input), View(v), Value::from_u64(0))
         });
+        rows.push(vec![
+            "algorithm5_node_safe".into(),
+            sweep.into(),
+            n.to_string(),
+            v.to_string(),
+            format!("{t:.2?}"),
+        ]);
     }
-    group.finish();
+    print_table(
+        "Safe-value determination cost (median per call)",
+        &["algorithm", "sweep", "n", "v", "time"],
+        &rows,
+    );
 }
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(20);
-    targets = bench_rules
-}
-criterion_main!(benches);

@@ -2,22 +2,21 @@
 //! headline is communication-optimal view changes (O(n) bytes per node per
 //! view); this bench prices the *constant* in front of that O(n) by running
 //! the single-shot view-change scenario at n ∈ {4, 8, 16} and accounting
-//! every sent message under both wire formats:
+//! every sent message under the live codec (varint kernel integers plus
+//! delta-compressed suggest/proof payloads with a presence bitmap).
 //!
-//! * **v1** — the retired fixed-width layout (`tetrabft::wire_v1`);
-//! * **v2** — varint kernel integers + delta-compressed suggest/proof
-//!   payloads with a presence bitmap (the live codec).
-//!
-//! Per-phase v2 bytes come from the simulator's per-kind [`Metrics`]
-//! counters; v1 bytes re-encode the identical traffic from the recorded
-//! trace. The run asserts v2 cuts total view-change bytes (suggest + proof
-//! + view-change) by ≥ 35% at n = 16 — in smoke mode too.
+//! Per-phase bytes are re-encoded from the recorded trace and cross-checked
+//! against the simulator's per-kind [`Metrics`] counters. The run is
+//! deterministic, so it asserts absolute ceilings — in smoke mode too:
+//! view-change bytes (suggest + proof + view-change) and all bytes stay at
+//! or below the figures recorded when this scenario was last measured (see
+//! [`CEILINGS`]). A codec change that grows any of them fails the bench.
 //!
 //! Set `TETRABFT_BENCH_SMOKE=1` for the CI smoke run (n ∈ {4, 16}).
 
 use std::collections::BTreeMap;
 
-use tetrabft::{wire_v1, Message, Params, SuggestData, TetraNode};
+use tetrabft::{Message, Params, SuggestData, TetraNode};
 use tetrabft_bench::print_table;
 use tetrabft_sim::{LinkPolicy, Metrics, SilentNode, SimBuilder, TraceEvent};
 use tetrabft_types::{Config, NodeId, Phase, Value, View, VoteInfo};
@@ -26,20 +25,23 @@ use tetrabft_wire::Wire;
 /// The phases whose bytes the O(n)-per-node view-change claim is about.
 const VIEW_CHANGE_KINDS: [&str; 3] = ["suggest", "proof", "view-change"];
 
+/// `(n, view-change bytes, all bytes)` ceilings for the crashed-leader
+/// view change: the v2 codec's measured bytes at each size.
+const CEILINGS: [(usize, u64, u64); 3] = [(4, 51, 477), (8, 263, 2_489), (16, 1_167, 11_217)];
+
 fn smoke() -> bool {
     std::env::var_os("TETRABFT_BENCH_SMOKE").is_some()
 }
 
-/// v1 and v2 byte totals for one message kind on identical traffic.
+/// Message and byte totals for one message kind.
 #[derive(Debug, Clone, Copy, Default)]
 struct KindBytes {
     msgs: u64,
-    v1: u64,
-    v2: u64,
+    bytes: u64,
 }
 
 /// Runs the crashed-leader view-change scenario and accounts every
-/// non-loopback send under both wire formats.
+/// non-loopback send.
 fn run_view_change(n: usize) -> (BTreeMap<&'static str, KindBytes>, Metrics) {
     let cfg = Config::new(n).expect("valid n");
     let mut sim = SimBuilder::new(n)
@@ -62,26 +64,21 @@ fn run_view_change(n: usize) -> (BTreeMap<&'static str, KindBytes>, Metrics) {
         }
         let e = by_kind.entry(msg.kind()).or_default();
         e.msgs += 1;
-        e.v1 += wire_v1::wire_len(msg) as u64;
-        e.v2 += msg.wire_len() as u64;
+        e.bytes += msg.wire_len() as u64;
     }
 
-    // The trace-derived v2 totals must agree with the metrics counters —
+    // The trace-derived totals must agree with the metrics counters —
     // the same numbers every other communication experiment reports.
     let metrics = sim.metrics().clone();
     for (kind, bytes) in &by_kind {
         let counted = metrics.kind(kind);
-        assert_eq!(counted.bytes, bytes.v2, "metrics vs trace mismatch for {kind}");
+        assert_eq!(counted.bytes, bytes.bytes, "metrics vs trace mismatch for {kind}");
         assert_eq!(counted.msgs, bytes.msgs, "message count mismatch for {kind}");
     }
-    let trace_total: u64 = by_kind.values().map(|b| b.v2).sum();
+    let trace_total: u64 = by_kind.values().map(|b| b.bytes).sum();
     assert_eq!(trace_total, metrics.total_bytes_sent(), "metrics vs trace total mismatch");
 
     (by_kind, metrics)
-}
-
-fn pct_cut(v1: u64, v2: u64) -> f64 {
-    100.0 * (1.0 - v2 as f64 / v1 as f64)
 }
 
 /// Per-message sizes of representative protocol messages — the README's
@@ -113,18 +110,9 @@ fn per_message_table() {
     ];
     let rows: Vec<Vec<String>> = samples
         .iter()
-        .map(|(name, msg)| {
-            let v1 = wire_v1::wire_len(msg) as u64;
-            let v2 = msg.wire_len() as u64;
-            vec![
-                (*name).to_string(),
-                v1.to_string(),
-                v2.to_string(),
-                format!("{:.0}%", pct_cut(v1, v2)),
-            ]
-        })
+        .map(|(name, msg)| vec![(*name).to_string(), msg.wire_len().to_string()])
         .collect();
-    print_table("Per-message sizes (bytes)", &["message", "v1", "v2", "cut"], &rows);
+    print_table("Per-message sizes (bytes)", &["message", "bytes"], &rows);
 }
 
 fn main() {
@@ -132,52 +120,39 @@ fn main() {
 
     per_message_table();
 
-    let mut reduction_at_16 = None;
     for &n in sizes {
         let (by_kind, metrics) = run_view_change(n);
         let rows: Vec<Vec<String>> = by_kind
             .iter()
-            .map(|(kind, b)| {
-                vec![
-                    (*kind).to_string(),
-                    b.msgs.to_string(),
-                    b.v1.to_string(),
-                    b.v2.to_string(),
-                    format!("{:.0}%", pct_cut(b.v1, b.v2)),
-                ]
-            })
+            .map(|(kind, b)| vec![(*kind).to_string(), b.msgs.to_string(), b.bytes.to_string()])
             .collect();
         print_table(
             &format!(
                 "Per-phase bytes, crashed-leader view change, n={n} \
-                 (total v2 on the wire: {} B, max/node {} B)",
+                 (total on the wire: {} B, max/node {} B)",
                 metrics.total_bytes_sent(),
                 metrics.max_node_bytes_sent()
             ),
-            &["phase", "msgs", "v1 bytes", "v2 bytes", "cut"],
+            &["phase", "msgs", "bytes"],
             &rows,
         );
 
-        let (vc1, vc2) = VIEW_CHANGE_KINDS.iter().fold((0u64, 0u64), |(a, b), kind| {
-            let e = by_kind.get(kind).copied().unwrap_or_default();
-            (a + e.v1, b + e.v2)
-        });
-        let (t1, t2) = by_kind.values().fold((0u64, 0u64), |(a, b), e| (a + e.v1, b + e.v2));
+        let view_change: u64 =
+            VIEW_CHANGE_KINDS.iter().filter_map(|kind| by_kind.get(kind)).map(|b| b.bytes).sum();
+        let total = metrics.total_bytes_sent();
+        let (_, vc_ceiling, total_ceiling) =
+            *CEILINGS.iter().find(|(size, ..)| *size == n).expect("a ceiling per size");
         println!(
-            "\nn={n}: view-change traffic {vc1} → {vc2} B ({:.1}% cut); \
-             all traffic {t1} → {t2} B ({:.1}% cut)",
-            pct_cut(vc1, vc2),
-            pct_cut(t1, t2),
+            "\nn={n}: view-change traffic {view_change} B (ceiling {vc_ceiling}); \
+             all traffic {total} B (ceiling {total_ceiling})"
         );
-        if n == 16 {
-            reduction_at_16 = Some(pct_cut(vc1, vc2));
-        }
+        assert!(
+            view_change <= vc_ceiling,
+            "view-change bytes at n={n} grew past the ceiling: {view_change} > {vc_ceiling}"
+        );
+        assert!(
+            total <= total_ceiling,
+            "all bytes at n={n} grew past the ceiling: {total} > {total_ceiling}"
+        );
     }
-
-    let reduction = reduction_at_16.expect("n=16 always runs");
-    assert!(
-        reduction >= 35.0,
-        "wire format v2 must cut view-change bytes by ≥ 35% at n=16 (got {reduction:.1}%)"
-    );
-    println!("\nv2 view-change byte cut at n=16: {reduction:.1}% (required ≥ 35%)");
 }

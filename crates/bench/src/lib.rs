@@ -14,6 +14,9 @@ mod alloc_count;
 
 pub use alloc_count::{AllocSnapshot, CountingAlloc};
 
+use std::hint::black_box;
+use std::time::{Duration, Instant};
+
 use tetrabft::{Params, TetraNode};
 use tetrabft_baselines::{BlogNode, IthsNode, PbftNode};
 use tetrabft_sim::{LinkPolicy, SilentNode, Sim, SimBuilder, Time, WireSize};
@@ -243,6 +246,38 @@ pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
     }
 }
 
+/// Median wall time of one call of `body` over `samples` timed samples.
+///
+/// A warm-up probe sizes each sample to a run of calls lasting about
+/// 2 ms, so fast bodies are not lost in timer resolution; the median of
+/// the per-call times shrugs off a noisy sample. With
+/// `TETRABFT_BENCH_SMOKE` set, `body` runs once and that call's time is
+/// returned: the bench runs end to end, its figures mean little.
+pub fn median_time<O>(samples: usize, mut body: impl FnMut() -> O) -> Duration {
+    fn per_call<O>(calls: u32, body: &mut impl FnMut() -> O) -> Duration {
+        let start = Instant::now();
+        for _ in 0..calls {
+            black_box(body());
+        }
+        start.elapsed() / calls
+    }
+    if std::env::var_os("TETRABFT_BENCH_SMOKE").is_some() {
+        return per_call(1, &mut body);
+    }
+    let probe = Instant::now();
+    let mut probed: u32 = 0;
+    while probed == 0 || probe.elapsed() < Duration::from_millis(20) {
+        black_box(body());
+        probed += 1;
+    }
+    let probed_ns = (probe.elapsed() / probed).as_nanos().max(1);
+    let calls = (Duration::from_millis(2).as_nanos() / probed_ns).clamp(1, 1_000_000) as u32;
+    let mut times: Vec<Duration> =
+        (0..samples.max(1)).map(|_| per_call(calls, &mut body)).collect();
+    times.sort_unstable();
+    times[times.len() / 2]
+}
+
 /// Log-log slope between two (x, y) samples — the empirical scaling
 /// exponent used by the communication experiments.
 pub fn scaling_exponent(x0: f64, y0: f64, x1: f64, y1: f64) -> f64 {
@@ -274,6 +309,17 @@ mod tests {
             let got = view_change_delays(protocol, 4, 10);
             assert_eq!(got, vc, "{} view change", protocol.name());
         }
+    }
+
+    #[test]
+    fn median_time_times_one_call() {
+        let mut calls = 0u32;
+        let t = median_time(3, || {
+            calls += 1;
+            std::thread::sleep(Duration::from_millis(1));
+        });
+        assert!(calls >= 1);
+        assert!(t >= Duration::from_millis(1) && t < Duration::from_secs(1), "got {t:?}");
     }
 
     #[test]

@@ -57,7 +57,6 @@ mod records;
 pub mod rules;
 pub mod strategies;
 
-pub use msg::v1 as wire_v1;
 pub use msg::{Message, ProofData, SuggestData};
 pub use node::{TetraNode, VIEW_TIMER};
 pub use params::Params;

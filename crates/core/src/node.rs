@@ -244,20 +244,10 @@ impl TetraNode {
     }
 
     /// The value holding a quorum of latest `phase` votes at the current
-    /// view, if any. The default path is an allocation-free lookup in the
-    /// registers' incremental tally tables; [`Params::with_hotpath_baseline`]
-    /// reroutes it through the allocating `vote_tallies` scan so
-    /// `pipeline_hotpath` can measure old-vs-new on the same traffic.
+    /// view, if any: an allocation-free lookup in the registers'
+    /// incremental tally tables.
     fn quorum_at_current_view(&self, phase: Phase) -> Option<Value> {
-        if self.params.hotpath_baseline() {
-            self.regs
-                .vote_tallies(phase, self.view)
-                .into_iter()
-                .find(|(_, count)| self.cfg.is_quorum(*count))
-                .map(|(value, _)| value)
-        } else {
-            self.regs.quorum_value(phase, self.view, self.cfg.quorum())
-        }
+        self.regs.quorum_value(phase, self.view, self.cfg.quorum())
     }
 
     fn cast(&mut self, phase: Phase, value: Value, ctx: &mut Context<'_, Message, Value>) {

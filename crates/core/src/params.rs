@@ -35,7 +35,6 @@ pub struct Params {
     mempool_capacity: usize,
     max_tx_bytes: usize,
     fsync: FsyncPolicy,
-    hotpath_baseline: bool,
     idle_pacing: u64,
 }
 
@@ -69,7 +68,6 @@ impl Params {
             mempool_capacity: Self::DEFAULT_MEMPOOL_CAPACITY,
             max_tx_bytes: Self::DEFAULT_MAX_TX_BYTES,
             fsync: FsyncPolicy::default(),
-            hotpath_baseline: false,
             idle_pacing: 0,
         }
     }
@@ -135,18 +133,6 @@ impl Params {
         self
     }
 
-    /// Routes quorum checks through the allocating pre-tally-table code
-    /// paths (`vote_tallies` scans, per-step `Vec` collects) instead of the
-    /// precomputed tables — **for the `pipeline_hotpath` bench only**, which
-    /// measures the zero-alloc hot path against this retained baseline the
-    /// same way `wire_bytes` retains the v1 codec. Decisions are identical
-    /// either way; only cost differs.
-    #[must_use]
-    pub fn with_hotpath_baseline(mut self, baseline: bool) -> Self {
-        self.hotpath_baseline = baseline;
-        self
-    }
-
     /// Paces an *idle* multi-shot chain: a leader whose mempool is empty
     /// holds an otherwise-ready view-0 proposal back for `pause` time
     /// units instead of free-running empty blocks at CPU speed. `0`
@@ -164,12 +150,6 @@ impl Params {
     #[inline]
     pub fn idle_pacing(&self) -> u64 {
         self.idle_pacing
-    }
-
-    /// `true` if quorum checks should use the retained allocating baseline.
-    #[inline]
-    pub fn hotpath_baseline(&self) -> bool {
-        self.hotpath_baseline
     }
 
     /// The durable store's fsync cadence.

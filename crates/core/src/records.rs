@@ -135,8 +135,8 @@ pub struct Registers {
     /// quorum-threshold tables the model checker's `mc/model.rs` proved out
     /// (its packed-count pass turned minutes into seconds). They make
     /// [`Registers::quorum_value`] / [`Registers::quorum_value_any`] O(distinct
-    /// values) lookups with zero allocation, replacing the O(n) re-scan per
-    /// engine step of [`Registers::vote_tallies`].
+    /// values) lookups with zero allocation, replacing an O(n) peer re-scan
+    /// per engine step (kept as the test oracle `vote_tallies`).
     tallies: [TallyTable; 4],
     /// Equivocation evidence harvested by [`Registers::record`]: a peer that
     /// re-claims a same-view register with a *different* value convicts
@@ -276,7 +276,7 @@ impl Registers {
 
     /// The value whose latest-vote count in `phase` across *all* views
     /// reaches `threshold`, if any (the table-backed, allocation-free
-    /// equivalent of scanning [`Registers::vote_value_tallies`]; see
+    /// equivalent of a view-agnostic peer scan; see
     /// [`Registers::count_votes_value`] for why multi-shot counts quorums
     /// view-agnostically). Uniqueness for majority thresholds holds by the
     /// same argument as [`Registers::quorum_value`].
@@ -299,46 +299,6 @@ impl Registers {
             }
         }
         None
-    }
-
-    /// Distinct values voted for in `phase` in *any* view, with counts
-    /// (the view-agnostic companion of [`Registers::vote_tallies`]; see
-    /// [`Registers::count_votes_value`] for why multi-shot needs this).
-    ///
-    /// Allocates its result; the hot path uses
-    /// [`Registers::quorum_value_any`] instead. Retained as the
-    /// pre-tally-table baseline that `pipeline_hotpath` measures against.
-    pub fn vote_value_tallies(&self, phase: Phase) -> Vec<(Value, usize)> {
-        let mut tallies: Vec<(Value, usize)> = Vec::new();
-        for p in &self.peers {
-            if let Some(v) = p.vote(phase) {
-                match tallies.iter_mut().find(|(val, _)| *val == v.value) {
-                    Some((_, c)) => *c += 1,
-                    None => tallies.push((v.value, 1)),
-                }
-            }
-        }
-        tallies
-    }
-
-    /// Distinct values voted for in `phase` at `view`, with counts.
-    ///
-    /// Allocates its result and re-scans all peers; the hot path uses
-    /// [`Registers::quorum_value`] instead. Retained as the pre-tally-table
-    /// baseline that `pipeline_hotpath` measures against.
-    pub fn vote_tallies(&self, phase: Phase, view: View) -> Vec<(Value, usize)> {
-        let mut tallies: Vec<(Value, usize)> = Vec::new();
-        for p in &self.peers {
-            if let Some(v) = p.vote(phase) {
-                if v.view == view {
-                    match tallies.iter_mut().find(|(val, _)| *val == v.value) {
-                        Some((_, c)) => *c += 1,
-                        None => tallies.push((v.value, 1)),
-                    }
-                }
-            }
-        }
-        tallies
     }
 
     /// The proposal the leader of `view` made in `view`, if received.
@@ -511,6 +471,40 @@ mod tests {
         assert_eq!(regs.view_change_support(View(5)), 1);
         assert_eq!(regs.view_change_support(View(6)), 0);
         assert_eq!(regs.view_change_candidates(View(1)), vec![View(5), View(2)]);
+    }
+
+    /// The allocating peer scans the tally tables replaced: test oracles
+    /// for [`Registers::quorum_value`] and [`Registers::quorum_value_any`].
+    impl Registers {
+        /// Distinct values voted for in `phase` in *any* view, with counts.
+        fn vote_value_tallies(&self, phase: Phase) -> Vec<(Value, usize)> {
+            let mut tallies: Vec<(Value, usize)> = Vec::new();
+            for p in &self.peers {
+                if let Some(v) = p.vote(phase) {
+                    match tallies.iter_mut().find(|(val, _)| *val == v.value) {
+                        Some((_, c)) => *c += 1,
+                        None => tallies.push((v.value, 1)),
+                    }
+                }
+            }
+            tallies
+        }
+
+        /// Distinct values voted for in `phase` at `view`, with counts.
+        fn vote_tallies(&self, phase: Phase, view: View) -> Vec<(Value, usize)> {
+            let mut tallies: Vec<(Value, usize)> = Vec::new();
+            for p in &self.peers {
+                if let Some(v) = p.vote(phase) {
+                    if v.view == view {
+                        match tallies.iter_mut().find(|(val, _)| *val == v.value) {
+                            Some((_, c)) => *c += 1,
+                            None => tallies.push((v.value, 1)),
+                        }
+                    }
+                }
+            }
+            tallies
+        }
     }
 
     /// The incremental tally table must agree with a fresh peer scan after

@@ -26,33 +26,31 @@ pub trait Transport<M, O> {
     fn send(&mut self, dest: Dest, msg: M);
 
     /// Schedule timer `id` to fire `after` ticks from now, tagged with
-    /// `generation`. The runtime must echo the tag back through
-    /// [`Engine::on_timer`]; it never interprets it.
+    /// `generation`. The runtime must echo the tag back in an
+    /// [`EngineEvent::Timer`]; it never interprets it.
     fn arm_timer(&mut self, id: TimerId, generation: u64, after: u64);
 
     /// Surface a protocol output to the application.
     fn deliver_output(&mut self, out: O);
 
-    /// Called exactly once after every action of one engine input has been
-    /// dispatched — or once per *batch* of inputs when the runtime steps
-    /// through [`Engine::step_batch`] / the `*_buffered` entry points.
-    /// Buffering transports hand their staged sends to the network here —
-    /// one handoff per input (or batch) rather than one per message — so a
-    /// broadcast plus its follow-ups leave as a single batch. The default
-    /// is a no-op for transports that ship eagerly.
+    /// Called exactly once per seal — after [`Engine::start`], and after
+    /// each [`Engine::batch`] that ran the node — once every action of the
+    /// sealed inputs has been dispatched. Buffering
+    /// transports hand their staged sends to the network here — one
+    /// handoff per batch rather than one per message — so a broadcast plus
+    /// its follow-ups leave together. The default is a no-op for
+    /// transports that ship eagerly.
     fn flush(&mut self) {}
 }
 
-/// A multiplexed engine input: everything that can wake a node.
+/// A runtime event for [`Batch::step`]: everything that can wake a booted
+/// node.
 ///
-/// Runtimes funnel their raw event sources (sockets, wakeup heaps, client
-/// queues, a virtual-time event queue) into this one enum and hand it to
-/// [`Engine::on_event`]; the engine routes each case, so no runtime
-/// re-implements the mux.
+/// Runtimes funnel their raw event sources (sockets, wakeup heaps, a
+/// virtual-time event queue) into this one enum; the engine routes each
+/// case, so no runtime re-implements the mux.
 #[derive(Debug)]
-pub enum EngineEvent<M, R = std::convert::Infallible> {
-    /// The node boots (exactly once).
-    Start,
+pub enum EngineEvent<M> {
     /// A peer message arrived over the transport.
     Deliver {
         /// Authenticated sender.
@@ -68,12 +66,10 @@ pub enum EngineEvent<M, R = std::convert::Infallible> {
         /// Arming tag; only the newest arming per id is live.
         generation: u64,
     },
-    /// A client submitted a request (e.g. a transaction for the mempool).
-    Submit(R),
 }
 
-/// A node that accepts client-submitted requests through the engine's
-/// input mux — the third input class next to deliveries and timers.
+/// A node that accepts client-submitted requests — the third input class
+/// next to deliveries and timers.
 ///
 /// Admission is synchronous and may be refused (backpressure): a bounded
 /// mempool returns its typed rejection here rather than growing without
@@ -108,10 +104,12 @@ pub trait FrameRequest: Sized {
 ///
 /// The engine owns the node, its timer-generation table, and the
 /// translation of node [`Action`]s into [`Transport`] calls. A runtime
-/// feeds it events ([`Engine::start`], [`Engine::on_deliver`],
-/// [`Engine::on_timer`], [`Engine::submit`] — or the combined
-/// [`Engine::on_event`] mux) together with the current time and a
-/// transport to act through.
+/// boots the node once with [`Engine::start`], then feeds it every later
+/// event through [`Engine::batch`] — a batch of one is per-event stepping —
+/// together with the current time and a transport to act through.
+/// Client requests are admitted by the node itself ([`Submitter::accept`]
+/// through [`Engine::node_mut`] or [`Batch::node_mut`]); admission never
+/// steps the node.
 ///
 /// # Timer generations
 ///
@@ -129,7 +127,9 @@ pub trait FrameRequest: Sized {
 /// # Examples
 ///
 /// ```
-/// use tetrabft_engine::{Context, Dest, Engine, Input, Node, Time, Transport, WireSize};
+/// use tetrabft_engine::{
+///     Context, Dest, Engine, EngineEvent, Input, Node, Time, Transport, WireSize,
+/// };
 /// use tetrabft_types::NodeId;
 ///
 /// #[derive(Clone)]
@@ -162,6 +162,12 @@ pub trait FrameRequest: Sized {
 /// engine.start(Time(0), &mut transport);
 /// assert_eq!(transport.sends, 1);
 /// assert_eq!(transport.outputs, vec!["booted"]);
+///
+/// // Later events arrive in batches; each step carries its own time.
+/// engine.batch(&mut transport, |b| {
+///     b.step(EngineEvent::Deliver { from: NodeId(1), msg: Ping }, Time(1));
+///     b.step(EngineEvent::Deliver { from: NodeId(2), msg: Ping }, Time(2));
+/// });
 /// ```
 #[derive(Debug)]
 pub struct Engine<N> {
@@ -216,81 +222,38 @@ impl<N: Node> Engine<N> {
         self.node
     }
 
-    /// Boots the node (deliver exactly once, before any other event).
+    /// Boots the node (deliver exactly once, before any other event) and
+    /// seals the boot's effects.
     pub fn start<T: Transport<N::Msg, N::Output>>(&mut self, now: Time, transport: &mut T) {
         self.dispatch(Input::Start, now, transport);
+        self.seal(transport);
     }
 
-    /// Feeds one peer message to the node.
-    pub fn on_deliver<T: Transport<N::Msg, N::Output>>(
-        &mut self,
-        from: NodeId,
-        msg: N::Msg,
-        now: Time,
-        transport: &mut T,
-    ) {
-        self.dispatch(Input::Deliver { from, msg }, now, transport);
-    }
-
-    /// Feeds one timer firing to the node, unless its generation is stale
-    /// (the timer was replaced or cancelled after this firing was queued).
-    /// Returns whether the node ran.
-    pub fn on_timer<T: Transport<N::Msg, N::Output>>(
-        &mut self,
-        id: TimerId,
-        generation: u64,
-        now: Time,
-        transport: &mut T,
-    ) -> bool {
-        if !self.consume_timer(id, generation) {
-            return false;
-        }
-        self.dispatch(Input::Timer { id }, now, transport);
-        true
-    }
-
-    /// Batched variant of [`Engine::on_deliver`]: runs the node but defers
-    /// the persist/flush seal to [`Engine::finish_batch`]. Callers that
-    /// drain several queued inputs in one go pay one storage sync and one
-    /// network handoff per *batch* instead of per input.
+    /// Runs `steps` as one batch of events and returns what it returns.
     ///
-    /// Every sequence of `*_buffered` calls **must** be closed with
-    /// [`Engine::finish_batch`] before the runtime goes back to waiting —
-    /// otherwise staged sends sit unflushed and durable votes unpersisted.
-    pub fn on_deliver_buffered<T: Transport<N::Msg, N::Output>>(
+    /// Inside the closure, [`Batch::step`] feeds the node one event at a
+    /// time, each with its own timestamp; actions dispatch eagerly. When
+    /// the closure returns, the batch is sealed once — the node persists,
+    /// then the transport flushes — but only if some step ran the node, so
+    /// an all-stale batch is free. Write-ahead holds batch-wide: everything
+    /// the batch changed is durable before any message it produced leaves
+    /// the process. A batch of one is per-event stepping; a runtime
+    /// draining a queue pays one storage sync and one network handoff per
+    /// batch instead of per event.
+    pub fn batch<T, R>(
         &mut self,
-        from: NodeId,
-        msg: N::Msg,
-        now: Time,
         transport: &mut T,
-    ) {
-        self.dispatch_buffered(Input::Deliver { from, msg }, now, transport);
-    }
-
-    /// Batched variant of [`Engine::on_timer`]: same staleness filtering,
-    /// but the persist/flush seal is deferred to [`Engine::finish_batch`].
-    /// Returns whether the node ran.
-    pub fn on_timer_buffered<T: Transport<N::Msg, N::Output>>(
-        &mut self,
-        id: TimerId,
-        generation: u64,
-        now: Time,
-        transport: &mut T,
-    ) -> bool {
-        if !self.consume_timer(id, generation) {
-            return false;
+        steps: impl FnOnce(&mut Batch<'_, N, T>) -> R,
+    ) -> R
+    where
+        T: Transport<N::Msg, N::Output>,
+    {
+        let mut batch = Batch { engine: self, transport, dispatched: false };
+        let out = steps(&mut batch);
+        if batch.dispatched {
+            batch.engine.seal(batch.transport);
         }
-        self.dispatch_buffered(Input::Timer { id }, now, transport);
-        true
-    }
-
-    /// Seals a batch of `*_buffered` dispatches: persists the node once,
-    /// then flushes the transport once. The write-ahead ordering holds for
-    /// the whole batch — everything the batch's inputs changed is durable
-    /// before any message they produced leaves the process.
-    pub fn finish_batch<T: Transport<N::Msg, N::Output>>(&mut self, transport: &mut T) {
-        self.node.persist();
-        transport.flush();
+        out
     }
 
     /// `true` iff `generation` is the live arming of `id`; consumes the
@@ -304,19 +267,15 @@ impl<N: Node> Engine<N> {
         true
     }
 
-    fn dispatch<T: Transport<N::Msg, N::Output>>(
-        &mut self,
-        input: Input<N::Msg>,
-        now: Time,
-        transport: &mut T,
-    ) {
-        self.dispatch_buffered(input, now, transport);
-        self.finish_batch(transport);
+    /// Persists the node, then flushes the transport.
+    fn seal<T: Transport<N::Msg, N::Output>>(&mut self, transport: &mut T) {
+        self.node.persist();
+        transport.flush();
     }
 
     /// Runs the node on one input and interprets its actions, without the
-    /// trailing persist/flush seal (a batch seals once, at the end).
-    fn dispatch_buffered<T: Transport<N::Msg, N::Output>>(
+    /// persist/flush seal (a batch seals once, at the end).
+    fn dispatch<T: Transport<N::Msg, N::Output>>(
         &mut self,
         input: Input<N::Msg>,
         now: Time,
@@ -349,86 +308,41 @@ impl<N: Node> Engine<N> {
     }
 }
 
-impl<N: Submitter> Engine<N> {
-    /// Admits one client request into the node (mempool admission); the
-    /// typed error is the backpressure signal.
-    pub fn submit(&mut self, req: N::Request) -> Result<(), N::SubmitError> {
-        self.node.accept(req)
+/// One open batch of an [`Engine`]: the handle [`Engine::batch`] passes to
+/// its closure.
+pub struct Batch<'a, N, T> {
+    engine: &'a mut Engine<N>,
+    transport: &'a mut T,
+    dispatched: bool,
+}
+
+impl<N: Node, T: Transport<N::Msg, N::Output>> Batch<'_, N, T> {
+    /// Feeds one event to the node at time `now`, unless it is a stale
+    /// timer firing (the timer was replaced or cancelled after this firing
+    /// was queued). Returns whether the node ran.
+    pub fn step(&mut self, event: EngineEvent<N::Msg>, now: Time) -> bool {
+        let input = match event {
+            EngineEvent::Deliver { from, msg } => Input::Deliver { from, msg },
+            EngineEvent::Timer { id, generation } => {
+                if !self.engine.consume_timer(id, generation) {
+                    return false;
+                }
+                Input::Timer { id }
+            }
+        };
+        self.engine.dispatch(input, now, self.transport);
+        self.dispatched = true;
+        true
     }
 
-    /// The full input mux: routes a runtime event to the node. Returns
-    /// whether the node ran (`false` for stale timers and refused
-    /// submissions).
-    pub fn on_event<T: Transport<N::Msg, N::Output>>(
-        &mut self,
-        event: EngineEvent<N::Msg, N::Request>,
-        now: Time,
-        transport: &mut T,
-    ) -> bool {
-        match event {
-            EngineEvent::Start => {
-                self.start(now, transport);
-                true
-            }
-            EngineEvent::Deliver { from, msg } => {
-                self.on_deliver(from, msg, now, transport);
-                true
-            }
-            EngineEvent::Timer { id, generation } => self.on_timer(id, generation, now, transport),
-            EngineEvent::Submit(req) => self.submit(req).is_ok(),
-        }
+    /// The batch's transport, for runtime bookkeeping between steps.
+    pub fn transport(&mut self) -> &mut T {
+        self.transport
     }
 
-    /// Drains a whole batch of runtime events through the node with **one**
-    /// persist/flush seal at the end, instead of one per event.
-    ///
-    /// This is the hot-path entry point for runtimes that pull events off a
-    /// queue or channel: dispatch overhead (storage sync, staged-send
-    /// handoff, lock round-trips in the caller) is amortized over the
-    /// batch. Semantics are otherwise identical to feeding each event
-    /// through [`Engine::on_event`] — same ordering, same staleness
-    /// filtering, same backpressure for submissions — and the write-ahead
-    /// guarantee still holds batch-wide: the single persist covers every
-    /// input before the single flush releases any of their messages.
-    ///
-    /// Returns how many events ran the node (stale timer firings and
-    /// refused submissions do not). The seal runs only if at least one
-    /// event dispatched, so an all-stale batch is free.
-    pub fn step_batch<T, I>(&mut self, events: I, now: Time, transport: &mut T) -> usize
-    where
-        T: Transport<N::Msg, N::Output>,
-        I: IntoIterator<Item = EngineEvent<N::Msg, N::Request>>,
-    {
-        let mut ran = 0;
-        let mut dispatched = false;
-        for event in events {
-            match event {
-                EngineEvent::Start => {
-                    self.dispatch_buffered(Input::Start, now, transport);
-                    dispatched = true;
-                    ran += 1;
-                }
-                EngineEvent::Deliver { from, msg } => {
-                    self.dispatch_buffered(Input::Deliver { from, msg }, now, transport);
-                    dispatched = true;
-                    ran += 1;
-                }
-                EngineEvent::Timer { id, generation } => {
-                    if self.consume_timer(id, generation) {
-                        self.dispatch_buffered(Input::Timer { id }, now, transport);
-                        dispatched = true;
-                        ran += 1;
-                    }
-                }
-                // Admission never dispatches the node, so it does not by
-                // itself force a seal.
-                EngineEvent::Submit(req) => ran += usize::from(self.submit(req).is_ok()),
-            }
-        }
-        if dispatched {
-            self.finish_batch(transport);
-        }
-        ran
+    /// The wrapped node (client admission between steps).
+    pub fn node_mut(&mut self) -> &mut N {
+        &mut self.engine.node
     }
 }
 
@@ -486,6 +400,29 @@ mod tests {
         }
     }
 
+    /// A batch of one delivery.
+    fn deliver<N: Node<Msg = Msg, Output = u64>>(
+        engine: &mut Engine<N>,
+        t: &mut Recorder,
+        msg: u64,
+        now: u64,
+    ) {
+        engine.batch(t, |b| {
+            b.step(EngineEvent::Deliver { from: NodeId(0), msg: Msg(msg) }, Time(now))
+        });
+    }
+
+    /// A batch of one timer firing; whether the node ran.
+    fn fire<N: Node<Msg = Msg, Output = u64>>(
+        engine: &mut Engine<N>,
+        t: &mut Recorder,
+        id: u64,
+        generation: u64,
+        now: u64,
+    ) -> bool {
+        engine.batch(t, |b| b.step(EngineEvent::Timer { id: TimerId(id), generation }, Time(now)))
+    }
+
     #[test]
     fn replaced_and_cancelled_timers_are_generation_filtered() {
         let mut engine = Engine::new(TimerNode, NodeId(0), 1);
@@ -496,13 +433,13 @@ mod tests {
         // (gen 3, then cancelled — its entry is dropped, not bumped).
         assert_eq!(t.armed, vec![(TimerId(1), 1, 10), (TimerId(1), 2, 3), (TimerId(2), 3, 5)]);
         // The replaced arming is stale; the replacement fires.
-        assert!(!engine.on_timer(TimerId(1), 1, Time(10), &mut t));
-        assert!(engine.on_timer(TimerId(1), 2, Time(3), &mut t));
+        assert!(!fire(&mut engine, &mut t, 1, 1, 10));
+        assert!(fire(&mut engine, &mut t, 1, 2, 3));
         // The cancelled timer's queued firing is stale too.
-        assert!(!engine.on_timer(TimerId(2), 3, Time(5), &mut t));
+        assert!(!fire(&mut engine, &mut t, 2, 3, 5));
         assert_eq!(t.outputs, vec![1]);
         // A consumed firing cannot replay.
-        assert!(!engine.on_timer(TimerId(1), 2, Time(3), &mut t));
+        assert!(!fire(&mut engine, &mut t, 1, 2, 3));
     }
 
     #[test]
@@ -526,12 +463,12 @@ mod tests {
         let mut engine = Engine::new(Churn, NodeId(0), 1);
         let mut t = Recorder::default();
         for k in 0..10_000 {
-            engine.on_deliver(NodeId(0), Msg(k), Time(k), &mut t);
+            deliver(&mut engine, &mut t, k, k);
         }
         assert!(engine.armed_timers() <= 2, "got {}", engine.armed_timers());
         // And firing the survivors empties the table entirely.
         for (id, generation, _) in t.armed.clone().iter().rev().take(2) {
-            engine.on_timer(*id, *generation, Time(10_000), &mut t);
+            fire(&mut engine, &mut t, id.0, *generation, 10_000);
         }
         assert_eq!(engine.armed_timers(), 0);
     }
@@ -540,23 +477,22 @@ mod tests {
     fn deliveries_reach_the_node_and_outputs_the_transport() {
         let mut engine = Engine::new(TimerNode, NodeId(0), 1);
         let mut t = Recorder::default();
-        engine.on_deliver(NodeId(0), Msg(42), Time(1), &mut t);
+        deliver(&mut engine, &mut t, 42, 1);
         assert_eq!(t.outputs, vec![42]);
     }
 
     #[test]
     fn flush_runs_exactly_once_per_dispatched_input() {
-        // Batching transports coalesce everything one input produced into a
-        // single network handoff; the engine guarantees the once-per-input
-        // cadence (stale timer firings never reach dispatch, so no flush).
+        // Batches of one seal once per input; stale timer firings never
+        // reach dispatch, so they never seal.
         let mut engine = Engine::new(TimerNode, NodeId(0), 1);
         let mut t = Recorder::default();
         engine.start(Time(0), &mut t);
-        engine.on_deliver(NodeId(0), Msg(1), Time(1), &mut t);
+        deliver(&mut engine, &mut t, 1, 1);
         assert_eq!(t.flushes, 2);
-        assert!(!engine.on_timer(TimerId(1), 1, Time(10), &mut t), "stale");
+        assert!(!fire(&mut engine, &mut t, 1, 1, 10), "stale");
         assert_eq!(t.flushes, 2, "a filtered firing dispatches nothing");
-        assert!(engine.on_timer(TimerId(1), 2, Time(10), &mut t));
+        assert!(fire(&mut engine, &mut t, 1, 2, 10));
         assert_eq!(t.flushes, 3);
     }
 
@@ -568,10 +504,14 @@ mod tests {
         type Msg = Msg;
         type Output = u64;
         fn handle(&mut self, input: Input<Msg>, ctx: &mut Context<'_, Msg, u64>) {
-            if matches!(input, Input::Start) {
-                if let Some(v) = self.held.take() {
-                    ctx.output(v);
+            match input {
+                Input::Start => {
+                    if let Some(v) = self.held.take() {
+                        ctx.output(v);
+                    }
                 }
+                Input::Deliver { msg, .. } => ctx.output(msg.0),
+                Input::Timer { .. } => {}
             }
         }
     }
@@ -591,12 +531,13 @@ mod tests {
     fn buffered_dispatches_seal_once_per_batch() {
         let mut engine = Engine::new(TimerNode, NodeId(0), 1);
         let mut t = Recorder::default();
-        engine.on_deliver_buffered(NodeId(0), Msg(1), Time(1), &mut t);
-        engine.on_deliver_buffered(NodeId(0), Msg(2), Time(1), &mut t);
-        engine.on_deliver_buffered(NodeId(0), Msg(3), Time(1), &mut t);
-        assert_eq!(t.flushes, 0, "nothing seals until finish_batch");
-        assert_eq!(t.outputs, vec![1, 2, 3], "actions still dispatch eagerly");
-        engine.finish_batch(&mut t);
+        engine.batch(&mut t, |b| {
+            for k in 1..=3 {
+                b.step(EngineEvent::Deliver { from: NodeId(0), msg: Msg(k) }, Time(1));
+            }
+            assert_eq!(b.transport().flushes, 0, "nothing seals inside the batch");
+            assert_eq!(b.transport().outputs, vec![1, 2, 3], "actions still dispatch eagerly");
+        });
         assert_eq!(t.flushes, 1, "one flush covers the whole batch");
     }
 
@@ -605,10 +546,15 @@ mod tests {
         let mut engine = Engine::new(TimerNode, NodeId(0), 1);
         let mut t = Recorder::default();
         engine.start(Time(0), &mut t);
-        assert!(!engine.on_timer_buffered(TimerId(1), 1, Time(10), &mut t), "replaced arming");
-        assert!(engine.on_timer_buffered(TimerId(1), 2, Time(3), &mut t));
-        assert!(!engine.on_timer_buffered(TimerId(2), 3, Time(5), &mut t), "cancelled");
-        engine.finish_batch(&mut t);
+        let ran = engine.batch(&mut t, |b| {
+            let timer = |id, generation| EngineEvent::Timer { id: TimerId(id), generation };
+            [
+                b.step(timer(1, 1), Time(10)), // replaced arming
+                b.step(timer(1, 2), Time(3)),
+                b.step(timer(2, 3), Time(5)), // cancelled
+            ]
+        });
+        assert_eq!(ran, [false, true, false]);
         assert_eq!(t.outputs, vec![1]);
         assert_eq!(t.flushes, 2, "start sealed itself; the batch sealed once");
     }
@@ -617,32 +563,28 @@ mod tests {
     fn step_batch_drains_events_with_one_seal() {
         let mut engine = Engine::new(OneSlot { held: None }, NodeId(0), 1);
         let mut t = Recorder::default();
-        let ran = engine.step_batch(
-            vec![
-                EngineEvent::Submit(7),
-                EngineEvent::Submit(8), // refused: pool is full
-                EngineEvent::Start,
-                EngineEvent::Deliver { from: NodeId(0), msg: Msg(5) },
-                EngineEvent::Timer { id: TimerId(9), generation: 99 }, // stale
-            ],
-            Time(0),
-            &mut t,
-        );
-        assert_eq!(ran, 3, "one admitted submit, start, one delivery");
-        assert_eq!(t.outputs, vec![7], "the admitted request drained on start");
-        assert_eq!(t.flushes, 1, "the whole batch sealed exactly once");
+        engine.start(Time(0), &mut t);
+        let ran = engine.batch(&mut t, |b| {
+            let mut ran = 0;
+            ran +=
+                usize::from(b.step(EngineEvent::Deliver { from: NodeId(0), msg: Msg(5) }, Time(1)));
+            ran +=
+                usize::from(b.step(EngineEvent::Timer { id: TimerId(9), generation: 99 }, Time(1)));
+            ran +=
+                usize::from(b.step(EngineEvent::Deliver { from: NodeId(0), msg: Msg(6) }, Time(2)));
+            ran
+        });
+        assert_eq!(ran, 2, "the stale firing does not run the node");
+        assert_eq!(t.outputs, vec![5, 6]);
+        assert_eq!(t.flushes, 2, "start sealed itself; the batch sealed once");
     }
 
     #[test]
     fn step_batch_of_stale_events_never_seals() {
         let mut engine = Engine::new(OneSlot { held: None }, NodeId(0), 1);
         let mut t = Recorder::default();
-        let ran = engine.step_batch(
-            vec![EngineEvent::Timer { id: TimerId(1), generation: 1 }],
-            Time(0),
-            &mut t,
-        );
-        assert_eq!(ran, 0);
+        assert!(!fire(&mut engine, &mut t, 1, 1, 0));
+        assert_eq!(engine.batch(&mut t, |_| 7), 7, "an empty batch is free too");
         assert_eq!(t.flushes, 0, "no dispatch, no seal");
     }
 
@@ -650,10 +592,10 @@ mod tests {
     fn submit_mux_applies_backpressure() {
         let mut engine = Engine::new(OneSlot { held: None }, NodeId(0), 1);
         let mut t = Recorder::default();
-        assert!(engine.on_event(EngineEvent::Submit(7), Time(0), &mut t));
-        assert!(!engine.on_event(EngineEvent::Submit(8), Time(0), &mut t), "pool is full");
-        assert_eq!(engine.submit(9), Err("full"));
-        engine.on_event(EngineEvent::Start, Time(0), &mut t);
+        assert_eq!(engine.node_mut().accept(7), Ok(()));
+        assert_eq!(engine.node_mut().accept(8), Err("full"), "pool is full");
+        assert_eq!(t.flushes, 0, "admission never steps the node");
+        engine.start(Time(0), &mut t);
         assert_eq!(t.outputs, vec![7], "the admitted request drains on start");
     }
 }

@@ -86,16 +86,15 @@ pub trait Node {
 
     /// Flushes durable state to stable storage.
     ///
-    /// The [`Engine`](crate::Engine) calls this exactly once per dispatched
-    /// input — or, when the runtime steps through the batched entry points
-    /// ([`Engine::step_batch`](crate::Engine::step_batch) and the
-    /// `*_buffered` methods), exactly once per *batch* of inputs — after
-    /// every action has been handed to the transport but *before*
-    /// [`Transport::flush`](crate::Transport::flush). Either way a
-    /// buffering transport (like the TCP runtime, which stages sends until
-    /// flush) gives write-ahead semantics for free: votes hit disk before
-    /// the messages that depend on them leave the process. In-memory nodes
-    /// keep the default no-op.
+    /// The [`Engine`](crate::Engine) calls this exactly once per seal —
+    /// after boot and after each [`Engine::batch`](crate::Engine::batch)
+    /// that ran the node — once every action has been handed to the
+    /// transport but *before*
+    /// [`Transport::flush`](crate::Transport::flush). A buffering transport
+    /// (like the TCP runtime, which stages sends until flush) gives
+    /// write-ahead semantics for free: votes hit disk before the messages
+    /// that depend on them leave the process. In-memory nodes keep the
+    /// default no-op.
     fn persist(&mut self) {}
 
     /// Monotone restart counter of this node's durable state, exchanged in

@@ -60,7 +60,6 @@ mod txn;
 pub use block::{Block, BlockHash, GENESIS_HASH};
 pub use instance::SlotInstance;
 pub use mempool::{Mempool, SubmitError};
-pub use msg::v1 as wire_v1;
 pub use msg::MsMessage;
 pub use node::{Finalized, MultiShotNode, SLOT_WINDOW};
 pub use shard::{FinalizedMerge, GlobalFinalized, ShardSpec, ShardedSim};

@@ -217,13 +217,9 @@ impl ShardedSim {
         let shards = (0..k)
             .map(|j| {
                 let shard_seed = seed.wrapping_add(j as u64);
-                // Shards step batched: same event order and outputs (see
-                // `SimBuilder::batched`), one persist/flush seal per
-                // coalesced (time, node) batch instead of per event.
                 SimBuilder::new(n)
                     .seed(shard_seed)
                     .policy(policy(j, shard_seed))
-                    .batched(true)
                     .build(|id| make(j, id))
             })
             .collect();

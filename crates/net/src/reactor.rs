@@ -186,7 +186,7 @@ pub(crate) fn run_reactor<M, R>(
                 }
                 key if key <= n => {
                     if let Some(link) = links.get_mut(key - 1).and_then(Option::as_mut) {
-                        link.on_event(ev, now, &poller);
+                        link.on_readiness(ev, now, &poller);
                     }
                 }
                 key => {

@@ -14,8 +14,8 @@
 //!   locally — armings never cross a thread.
 //!
 //! Outbound messages are staged per event batch: each wakeup drains every
-//! already-queued event (bounded by `MAX_BATCH`) through the engine's
-//! `*_buffered` entry points, the transport frames each message once and
+//! already-queued event (bounded by `MAX_BATCH`) through one
+//! [`Engine::batch`], the transport frames each message once and
 //! parks it in a per-peer outbox, and one [`Transport::flush`] at the end
 //! of the batch hands each peer's staged frames to the reactor in a single
 //! channel operation plus one poller wakeup.
@@ -30,7 +30,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use polling::Poller;
-use tetrabft_engine::{Dest, Engine, Node, Submitter, Time, TimerId, Transport};
+use tetrabft_engine::{Dest, Engine, EngineEvent, Node, Submitter, Time, TimerId, Transport};
 use tetrabft_sim::LinkPlan;
 use tetrabft_types::NodeId;
 use tetrabft_wire::frame::encode_frame_into;
@@ -313,8 +313,8 @@ where
         codec,
         // Refused submissions (mempool full, degenerate tx) are dropped
         // here; the admission verdict lives on the node's thread.
-        |engine, req| {
-            let _ = engine.submit(req);
+        |node, req| {
+            let _ = node.accept(req);
         },
     )?;
     let submit = SubmitHandle {
@@ -332,7 +332,7 @@ pub(crate) fn run_node_inner<N, R>(
     outputs: mpsc::Sender<(NodeId, N::Output)>,
     links: LinkSetup,
     codec: Option<SubmitCodec<R>>,
-    mut on_submit: impl FnMut(&mut Engine<N>, R) + Send + 'static,
+    mut on_submit: impl FnMut(&mut N, R) + Send + 'static,
 ) -> Result<Spawned<N::Msg, R>, NetError>
 where
     N: Node + Send + 'static,
@@ -438,31 +438,28 @@ where
             // Drain whatever is already queued (due timers, bursts of
             // deliveries) in the same wakeup: one persist/flush seal and
             // one reactor wakeup per *batch* instead of per event.
-            let mut dispatched = false;
-            let mut drained = 0;
-            for (id, generation) in due_timers.drain(..) {
-                // Stale (replaced or cancelled) firings die in the
-                // engine's generation filter.
-                dispatched |= engine.on_timer_buffered(id, generation, now(), &mut transport);
-                drained += 1;
-            }
-            let mut event = first;
-            while let Some(ev) = event.take() {
-                match ev {
-                    Event::Deliver { from, msg } => {
-                        engine.on_deliver_buffered(from, msg, now(), &mut transport);
-                        dispatched = true;
+            engine.batch(&mut transport, |b| {
+                let mut drained = 0;
+                for (id, generation) in due_timers.drain(..) {
+                    // Stale (replaced or cancelled) firings die in the
+                    // engine's generation filter.
+                    b.step(EngineEvent::Timer { id, generation }, now());
+                    drained += 1;
+                }
+                let mut event = first;
+                while let Some(ev) = event.take() {
+                    match ev {
+                        Event::Deliver { from, msg } => {
+                            b.step(EngineEvent::Deliver { from, msg }, now());
+                        }
+                        Event::Submit(req) => on_submit(b.node_mut(), req),
                     }
-                    Event::Submit(req) => on_submit(&mut engine, req),
+                    drained += 1;
+                    if drained < MAX_BATCH {
+                        event = event_rx.try_recv().ok();
+                    }
                 }
-                drained += 1;
-                if drained < MAX_BATCH {
-                    event = event_rx.try_recv().ok();
-                }
-            }
-            if dispatched {
-                engine.finish_batch(&mut transport);
-            }
+            });
         }
     });
 

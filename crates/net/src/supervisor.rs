@@ -98,7 +98,7 @@ enum LinkState {
 /// One supervised outbound edge, driven by the reactor.
 ///
 /// The reactor calls [`Link::enqueue`] when the engine flushes frames for
-/// this peer, [`Link::on_event`] when the link's socket reports readiness,
+/// this peer, [`Link::on_readiness`] when the link's socket reports readiness,
 /// and [`Link::housekeep`] every wakeup (cut flags, partition windows,
 /// dial/ack deadlines, due-frame writes). The link keeps its poller
 /// registration in sync itself, always under the same `key`.
@@ -216,7 +216,7 @@ impl Link {
     }
 
     /// Handles a readiness delivery for this link's socket.
-    pub(crate) fn on_event(&mut self, ev: Event, now: Instant, poller: &Poller) {
+    pub(crate) fn on_readiness(&mut self, ev: Event, now: Instant, poller: &Poller) {
         // Oneshot delivery disarmed the registration.
         self.armed = Some((false, false));
         match std::mem::replace(&mut self.state, LinkState::Down) {

@@ -19,6 +19,16 @@ pub(crate) struct Event<M> {
     pub kind: EventKind<M>,
 }
 
+impl<M> Event<M> {
+    /// The node this event wakes.
+    pub fn target(&self) -> NodeId {
+        match &self.kind {
+            EventKind::Deliver { to, .. } => *to,
+            EventKind::Timer { node, .. } => *node,
+        }
+    }
+}
+
 impl<M> PartialEq for Event<M> {
     fn eq(&self, other: &Self) -> bool {
         self.at == other.at && self.seq == other.seq
@@ -63,16 +73,15 @@ impl<M> EventQueue<M> {
         self.heap.peek().map(|e| e.at)
     }
 
-    /// Time and target node of the next event — what batched stepping uses
-    /// to decide whether the following event extends the current batch.
-    pub fn peek_target(&self) -> Option<(Time, NodeId)> {
-        self.heap.peek().map(|e| {
-            let node = match &e.kind {
-                EventKind::Deliver { to, .. } => *to,
-                EventKind::Timer { node, .. } => *node,
-            };
-            (e.at, node)
-        })
+    /// Pops the next event only if it is due at `at` for `node` — how a
+    /// batch extends itself without reordering the queue.
+    pub fn pop_if(&mut self, at: Time, node: NodeId) -> Option<Event<M>> {
+        let next = self.heap.peek()?;
+        if next.at == at && next.target() == node {
+            self.heap.pop()
+        } else {
+            None
+        }
     }
 
     pub fn len(&self) -> usize {

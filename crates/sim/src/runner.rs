@@ -10,7 +10,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use tetrabft_engine::{Dest, Engine, Node, Time, TimerId, Transport, WireSize};
+use tetrabft_engine::{Dest, Engine, EngineEvent, Node, Time, TimerId, Transport, WireSize};
 use tetrabft_types::NodeId;
 
 use crate::metrics::Metrics;
@@ -40,7 +40,6 @@ pub struct SimBuilder {
     seed: u64,
     policy: LinkPolicy,
     record_trace: bool,
-    batched: bool,
 }
 
 impl SimBuilder {
@@ -51,13 +50,7 @@ impl SimBuilder {
     /// Panics if `n == 0`.
     pub fn new(n: usize) -> Self {
         assert!(n > 0, "simulation needs at least one node");
-        SimBuilder {
-            n,
-            seed: 0,
-            policy: LinkPolicy::synchronous(1),
-            record_trace: false,
-            batched: false,
-        }
+        SimBuilder { n, seed: 0, policy: LinkPolicy::synchronous(1), record_trace: false }
     }
 
     /// Seeds the deterministic RNG (default 0).
@@ -82,21 +75,6 @@ impl SimBuilder {
     /// Enables the event trace (off by default; it grows with the run).
     pub fn record_trace(mut self, on: bool) -> Self {
         self.record_trace = on;
-        self
-    }
-
-    /// Enables batched stepping (off by default): one [`Sim::step`] drains
-    /// every consecutively queued event that targets the same node at the
-    /// same virtual time through the engine's `*_buffered` entry points,
-    /// sealing (persist + flush) once per batch instead of once per event.
-    ///
-    /// Event processing order, metrics, traces, and outputs are *identical*
-    /// to unbatched runs — a batch only ever coalesces events that would
-    /// have been popped back-to-back anyway — so runs stay byte-for-byte
-    /// deterministic across the two modes; only the dispatch overhead
-    /// changes. See `tests/batched_stepping.rs` for the pinned equivalence.
-    pub fn batched(mut self, on: bool) -> Self {
-        self.batched = on;
         self
     }
 
@@ -137,7 +115,6 @@ impl SimBuilder {
             metrics: Metrics::new(n),
             trace: self.record_trace.then(Vec::new),
             started: false,
-            batched: self.batched,
         };
         sim.start();
         sim
@@ -238,7 +215,6 @@ pub struct Sim<M, O> {
     metrics: Metrics,
     trace: Option<Vec<TraceEvent<M>>>,
     started: bool,
-    batched: bool,
 }
 
 /// Splits a `Sim`'s fields into the dispatching node's engine plus a
@@ -316,104 +292,66 @@ impl<M: WireSize + Clone, O> Sim<M, O> {
         &mut **self.engines[id.index()].node_mut()
     }
 
-    /// Processes one queued event — or, in batched mode
-    /// ([`SimBuilder::batched`]), one *batch*: the popped event plus every
-    /// consecutively queued event for the same node at the same time.
-    /// Returns `false` when the queue is empty.
+    /// Processes one batch: the next queued event plus every event queued
+    /// right behind it for the same node at the same virtual time, with
+    /// one persist/flush seal for the lot (see [`Engine::batch`]). Returns
+    /// `false` when the queue is empty.
+    ///
+    /// A batch only takes the event a per-event loop would pop next, so
+    /// dispatch order, metrics, traces, and outputs are exactly those of
+    /// stepping one event at a time; only the seal is shared.
     pub fn step(&mut self) -> bool {
-        if self.batched {
-            self.step_batched()
-        } else {
-            self.step_single()
-        }
+        self.step_within(u64::MAX, usize::MAX) > 0
     }
 
-    fn step_single(&mut self) -> bool {
-        let Some(event) = self.queue.pop() else { return false };
-        debug_assert!(event.at >= self.now, "time must be monotone");
-        self.now = event.at;
-        match event.kind {
-            EventKind::Deliver { to, from, msg } => {
-                if from != to {
-                    self.metrics.on_deliver(to, msg.wire_size());
-                }
-                if let Some(trace) = &mut self.trace {
-                    trace.push(TraceEvent::Delivered { at: self.now, from, to, msg: msg.clone() });
-                }
-                self.metrics.events_processed += 1;
-                let (engine, mut transport) = engine_and_transport!(self, to);
-                engine.on_deliver(from, msg, self.now, &mut transport);
-            }
-            EventKind::Timer { node, id, generation } => {
-                // The engine filters stale generations; at most one queued
-                // event can carry the current one, so no removal is needed.
-                let (engine, mut transport) = engine_and_transport!(self, node);
-                if engine.on_timer(id, generation, self.now, &mut transport) {
-                    self.metrics.events_processed += 1;
-                }
-            }
-        }
-        true
-    }
-
-    /// Batched stepping: the engine and transport are materialized once,
-    /// then every consecutively queued event for the same `(time, node)`
-    /// key is driven through the engine's `*_buffered` entry points with a
-    /// single persist/flush seal at the end. Coalescing only ever takes the
-    /// event the unbatched loop would pop next, so per-event bookkeeping,
-    /// dispatch order, and therefore entire runs are identical to
-    /// [`Sim::step_single`] — the batch saves only the per-event seal.
-    fn step_batched(&mut self) -> bool {
-        let Some(event) = self.queue.pop() else { return false };
-        debug_assert!(event.at >= self.now, "time must be monotone");
-        self.now = event.at;
-        let at = event.at;
-        let target = match &event.kind {
-            EventKind::Deliver { to, .. } => *to,
-            EventKind::Timer { node, .. } => *node,
-        };
+    /// One [`Sim::step`] batch that stops growing once it has popped
+    /// `budget` events or `outputs` outputs exist, so the run caps stop at
+    /// exactly the event a per-event loop would. Returns how many events
+    /// it popped (0 iff the queue was empty).
+    fn step_within(&mut self, budget: u64, outputs: usize) -> u64 {
+        let Some(first) = self.queue.pop() else { return 0 };
+        debug_assert!(first.at >= self.now, "time must be monotone");
+        self.now = first.at;
+        let (at, target) = (first.at, first.target());
         let (engine, mut transport) = engine_and_transport!(self, target);
-        let mut dispatched = false;
-        let mut next = Some(event);
-        loop {
-            let event = match next.take() {
-                Some(event) => event,
-                // An event dispatched above may have pushed follow-ups (a
-                // loopback delivery lands at `at` for `target`); peeking
-                // after each dispatch keeps the pop order exactly the
-                // unbatched one, extending the batch only while the
-                // globally next event stays on this node at this instant.
-                None => match transport.queue.peek_target() {
-                    Some((t, node)) if t == at && node == target => {
-                        transport.queue.pop().expect("peeked event must pop")
+        engine.batch(&mut transport, |b| {
+            let mut popped = 0;
+            let mut next = Some(first);
+            while let Some(event) = next {
+                popped += 1;
+                let t = b.transport();
+                let event = match event.kind {
+                    EventKind::Deliver { to, from, msg } => {
+                        if from != to {
+                            t.metrics.on_deliver(to, msg.wire_size());
+                        }
+                        if let Some(trace) = t.trace.as_deref_mut() {
+                            trace.push(TraceEvent::Delivered { at, from, to, msg: msg.clone() });
+                        }
+                        EngineEvent::Deliver { from, msg }
                     }
-                    _ => break,
-                },
-            };
-            match event.kind {
-                EventKind::Deliver { to, from, msg } => {
-                    if from != to {
-                        transport.metrics.on_deliver(to, msg.wire_size());
+                    // The engine filters stale generations; at most one
+                    // queued event can carry the current one, so no
+                    // removal is needed.
+                    EventKind::Timer { id, generation, .. } => {
+                        EngineEvent::Timer { id, generation }
                     }
-                    if let Some(trace) = transport.trace.as_deref_mut() {
-                        trace.push(TraceEvent::Delivered { at, from, to, msg: msg.clone() });
-                    }
-                    transport.metrics.events_processed += 1;
-                    engine.on_deliver_buffered(from, msg, at, &mut transport);
-                    dispatched = true;
+                };
+                if b.step(event, at) {
+                    b.transport().metrics.events_processed += 1;
                 }
-                EventKind::Timer { id, generation, .. } => {
-                    if engine.on_timer_buffered(id, generation, at, &mut transport) {
-                        transport.metrics.events_processed += 1;
-                        dispatched = true;
-                    }
-                }
+                // A dispatch may have queued follow-ups (a loopback
+                // delivery lands at `at` for `target`); popping only the
+                // globally next event keeps the per-event order.
+                let t = b.transport();
+                next = if popped < budget && t.outputs.len() < outputs {
+                    t.queue.pop_if(at, target)
+                } else {
+                    None
+                };
             }
-        }
-        if dispatched {
-            engine.finish_batch(&mut transport);
-        }
-        true
+            popped
+        })
     }
 
     /// Runs until the queue is empty or virtual time would exceed `horizon`.
@@ -427,28 +365,29 @@ impl<M: WireSize + Clone, O> Sim<M, O> {
     }
 
     /// Runs until the event queue drains, with a hard cap of `max_events`
-    /// processed events (protection against livelock in protocol bugs).
+    /// popped events (protection against livelock in protocol bugs).
     /// Returns `true` if the queue drained.
     pub fn run_until_quiet(&mut self, max_events: u64) -> bool {
-        let mut processed = 0;
-        while processed < max_events {
-            if !self.step() {
-                return true;
+        let mut popped = 0;
+        while popped < max_events {
+            match self.step_within(max_events - popped, usize::MAX) {
+                0 => return true,
+                n => popped += n,
             }
-            processed += 1;
         }
         self.queue.peek_time().is_none()
     }
 
     /// Runs until at least `count` outputs exist or the queue drains or
-    /// `max_events` is hit. Returns `true` if the output target was reached.
+    /// `max_events` events have been popped. Returns `true` if the output
+    /// target was reached.
     pub fn run_until_outputs(&mut self, count: usize, max_events: u64) -> bool {
-        let mut processed = 0;
-        while self.outputs.len() < count && processed < max_events {
-            if !self.step() {
-                break;
+        let mut popped = 0;
+        while self.outputs.len() < count && popped < max_events {
+            match self.step_within(max_events - popped, count) {
+                0 => break,
+                n => popped += n,
             }
-            processed += 1;
         }
         self.outputs.len() >= count
     }
@@ -627,6 +566,44 @@ mod tests {
         assert_eq!(trace.len(), 2);
         assert!(matches!(trace[0], TraceEvent::Sent { .. }));
         assert!(matches!(trace[1], TraceEvent::Delivered { .. }));
+    }
+
+    /// Node 0 sends `k` messages to node 1 at boot; node 1 outputs each
+    /// delivery. All `k` land at t=1 on node 1: one same-instant batch.
+    fn fan_in(k: u64) -> Sim<Msg, u64> {
+        SimBuilder::new(2).build(move |id| {
+            FnNode::<Msg, u64, _>::new(move |input, ctx| match input {
+                Input::Start if id == NodeId(0) => {
+                    for i in 0..k {
+                        ctx.send(NodeId(1), Msg(i));
+                    }
+                }
+                Input::Deliver { msg, .. } => ctx.output(msg.0),
+                _ => {}
+            })
+        })
+    }
+
+    #[test]
+    fn event_cap_cuts_a_same_instant_batch() {
+        let mut sim = fan_in(5);
+        assert!(!sim.run_until_quiet(3), "the cap stops the run before the queue drains");
+        let delivered: Vec<u64> = sim.outputs().iter().map(|o| o.output).collect();
+        assert_eq!(delivered, vec![0, 1, 2], "exactly three of the five events ran");
+        assert_eq!(sim.pending_events(), 2);
+        assert_eq!(sim.metrics().events_processed, 2 + 3, "two boots, three deliveries");
+        assert!(sim.run_until_quiet(2));
+        assert_eq!(sim.outputs().len(), 5);
+    }
+
+    #[test]
+    fn output_target_cuts_a_same_instant_batch() {
+        let mut sim = fan_in(5);
+        assert!(sim.run_until_outputs(2, 100));
+        assert_eq!(sim.outputs().len(), 2, "the batch stops at the target output");
+        assert_eq!(sim.pending_events(), 3);
+        assert!(!sim.run_until_outputs(10, 1), "a cap of one pops one event");
+        assert_eq!(sim.outputs().len(), 3);
     }
 
     #[test]
