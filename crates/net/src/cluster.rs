@@ -1,6 +1,6 @@
-//! Cluster orchestration: flat clusters, submitting clusters, the sharded
-//! multi-instance mode, and the [`ClusterBuilder`] that threads a
-//! declarative topology and link plan through every node.
+//! Cluster orchestration: the [`ClusterBuilder`] that threads a
+//! declarative topology and link plan through every node, the running
+//! [`Cluster`] with its restart path, and the sharded multi-instance mode.
 
 use std::net::TcpListener;
 use std::sync::mpsc;
@@ -12,8 +12,7 @@ use tetrabft_types::NodeId;
 use tetrabft_wire::Wire;
 
 use crate::link::{LinkSetup, NetControl};
-use crate::reactor::SubmitCodec;
-use crate::runner::{run_node_inner, run_submitter_inner, NodeHandle, SubmitHandle};
+use crate::runner::{spawn_node, Event, Ingress, NodeHandle, SubmitHandle};
 use crate::topology::{NetError, Topology};
 
 /// A running cluster: `n` nodes in one process, real TCP between them.
@@ -28,8 +27,8 @@ pub struct Cluster<O> {
     outputs: mpsc::Receiver<(NodeId, O)>,
     handles: Vec<NodeHandle>,
     /// Retained for node restarts: the shared output sender, the addresses
-    /// every node listens on, and the link setup (conditioners, metrics,
-    /// cut flags) a replacement node re-joins.
+    /// every node listens on, and the link setup (plan, metrics, cut
+    /// flags) a replacement node re-joins.
     tx: mpsc::Sender<(NodeId, O)>,
     topology: Topology,
     setup: LinkSetup,
@@ -39,13 +38,15 @@ pub struct Cluster<O> {
 /// accept loop releases the listen port (one ≤20 ms poll, plus OS lag).
 const REBIND_WINDOW: Duration = Duration::from_secs(5);
 
-/// What [`Cluster::spawn_submitting`] yields: the cluster plus one
+/// What [`ClusterBuilder::spawn_serving`] yields: the cluster plus one
 /// [`SubmitHandle`] per node (indexed by [`NodeId`]).
 pub type SubmittingCluster<O, R> = (Cluster<O>, Vec<SubmitHandle<R>>);
 
 /// Declarative cluster spec: node count or explicit [`Topology`], a
 /// [`LinkPlan`] for fault injection / WAN conditioning, and the
-/// deterministic seed feeding every edge's conditioner.
+/// deterministic seed feeding every edge's loss and jitter draws.
+/// Start it with [`ClusterBuilder::spawn`] (any [`Node`]) or
+/// [`ClusterBuilder::spawn_serving`] ([`Submitter`]s serving TCP clients).
 ///
 /// # Examples
 ///
@@ -102,13 +103,17 @@ impl ClusterBuilder {
         self
     }
 
-    fn listeners(&mut self) -> Result<(Vec<TcpListener>, Topology, LinkSetup), NetError> {
-        let (listeners, topology) = match self.topology.take() {
+    /// Binds every listen address and builds the cluster shell the
+    /// nodes are then launched into, one listener per slot.
+    fn bind<O>(self) -> Result<(Cluster<O>, Vec<TcpListener>), NetError> {
+        let (listeners, topology) = match self.topology {
             Some(t) => (t.bind_all()?, t),
             None => Topology::bind_ephemeral(self.n)?,
         };
-        let setup = LinkSetup::new(self.plan.clone(), topology.len(), self.seed);
-        Ok((listeners, topology, setup))
+        let setup = LinkSetup::new(self.plan, topology.len(), self.seed);
+        let (tx, outputs) = mpsc::channel();
+        let handles = std::iter::repeat_with(NodeHandle::default).take(topology.len()).collect();
+        Ok((Cluster { outputs, handles, tx, topology, setup }, listeners))
     }
 
     /// Spawns one node per topology slot, built by `make`, and returns the
@@ -117,67 +122,36 @@ impl ClusterBuilder {
     /// # Errors
     ///
     /// [`NetError`] on bind or listener-configuration failures.
-    pub fn spawn<N, O, F>(mut self, mut make: F) -> Result<(Cluster<O>, NetControl), NetError>
+    pub fn spawn<N, O, F>(self, mut make: F) -> Result<(Cluster<O>, NetControl), NetError>
     where
         N: Node<Output = O> + Send + 'static,
         N::Msg: Wire + Send + 'static,
         O: Send + 'static,
         F: FnMut(NodeId) -> N,
     {
-        let (listeners, topology, setup) = self.listeners()?;
-        let (tx, rx) = mpsc::channel();
-        let mut handles = Vec::with_capacity(topology.len());
+        let (mut cluster, listeners) = self.bind()?;
         for (i, listener) in listeners.into_iter().enumerate() {
             let id = NodeId(i as u16);
-            let (handle, _events) = run_node_inner::<N, std::convert::Infallible>(
-                make(id),
-                id,
-                listener,
-                topology.clone(),
-                tx.clone(),
-                setup.clone(),
-                None,
-                |_, never| match never {},
-            )?;
-            handles.push(handle);
+            cluster.launch(id, listener, make(id), Ingress::none())?;
         }
-        let control = setup.control();
-        Ok((Cluster { outputs: rx, handles, tx, topology, setup }, control))
+        let control = cluster.setup.control();
+        Ok((cluster, control))
     }
 
-    /// Like [`ClusterBuilder::spawn`] for [`Submitter`] nodes: also
-    /// returns one [`SubmitHandle`] per node.
-    ///
-    /// # Errors
-    ///
-    /// As [`ClusterBuilder::spawn`].
-    pub fn spawn_submitting<N, O, F>(
-        self,
-        make: F,
-    ) -> Result<(SubmittingCluster<O, N::Request>, NetControl), NetError>
-    where
-        N: Submitter<Output = O> + Send + 'static,
-        N::Msg: Wire + Send + 'static,
-        N::Request: Send + 'static,
-        O: Send + 'static,
-        F: FnMut(NodeId) -> N,
-    {
-        self.spawn_submitting_with(make, None)
-    }
-
-    /// Like [`ClusterBuilder::spawn_submitting`] for nodes **serving
+    /// Like [`ClusterBuilder::spawn`] for [`Submitter`] nodes **serving
     /// framed client submissions over TCP**: every node also accepts
     /// client connections on its listen port (hello id `0xFFFF`), decodes
     /// each frame through [`FrameRequest`], and feeds it into the engine
     /// mux — the 10k-client path of `tetrabft-load`, with no thread per
-    /// connection. The in-process [`SubmitHandle`]s are returned too.
+    /// connection. One in-process [`SubmitHandle`] per node is returned
+    /// too, feeding the same mux.
     ///
     /// # Errors
     ///
     /// As [`ClusterBuilder::spawn`].
     pub fn spawn_serving<N, O, F>(
         self,
-        make: F,
+        mut make: F,
     ) -> Result<(SubmittingCluster<O, N::Request>, NetControl), NetError>
     where
         N: Submitter<Output = O> + Send + 'static,
@@ -186,82 +160,19 @@ impl ClusterBuilder {
         O: Send + 'static,
         F: FnMut(NodeId) -> N,
     {
-        self.spawn_submitting_with(make, Some(N::Request::from_frame))
-    }
-
-    fn spawn_submitting_with<N, O, F>(
-        mut self,
-        mut make: F,
-        codec: Option<SubmitCodec<N::Request>>,
-    ) -> Result<(SubmittingCluster<O, N::Request>, NetControl), NetError>
-    where
-        N: Submitter<Output = O> + Send + 'static,
-        N::Msg: Wire + Send + 'static,
-        N::Request: Send + 'static,
-        O: Send + 'static,
-        F: FnMut(NodeId) -> N,
-    {
-        let (listeners, topology, setup) = self.listeners()?;
-        let (tx, rx) = mpsc::channel();
-        let mut handles = Vec::with_capacity(topology.len());
-        let mut submitters = Vec::with_capacity(topology.len());
+        let (mut cluster, listeners) = self.bind()?;
+        let mut submitters = Vec::with_capacity(listeners.len());
         for (i, listener) in listeners.into_iter().enumerate() {
             let id = NodeId(i as u16);
-            let (handle, submit) = run_submitter_inner(
-                make(id),
-                id,
-                listener,
-                topology.clone(),
-                tx.clone(),
-                setup.clone(),
-                codec,
-            )?;
-            handles.push(handle);
-            submitters.push(submit);
+            let events = cluster.launch(id, listener, make(id), Ingress::serving())?;
+            submitters.push(SubmitHandle::new(events));
         }
-        let control = setup.control();
-        Ok(((Cluster { outputs: rx, handles, tx, topology, setup }, submitters), control))
+        let control = cluster.setup.control();
+        Ok(((cluster, submitters), control))
     }
 }
 
 impl<O> Cluster<O> {
-    /// Binds `n` OS-assigned ephemeral listeners on localhost and spawns
-    /// one node per listener, built by `make`, over unconditioned links.
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket binding errors as [`NetError`].
-    pub fn spawn<N, F>(n: usize, make: F) -> Result<Cluster<O>, NetError>
-    where
-        N: Node<Output = O> + Send + 'static,
-        N::Msg: Wire + Send + 'static,
-        O: Send + 'static,
-        F: FnMut(NodeId) -> N,
-    {
-        ClusterBuilder::new(n).spawn(make).map(|(cluster, _)| cluster)
-    }
-
-    /// Like [`Cluster::spawn`] for nodes accepting client submissions:
-    /// also returns one [`SubmitHandle`] per node, feeding requests into
-    /// that node's engine mux at runtime.
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket binding errors as [`NetError`].
-    pub fn spawn_submitting<N, F>(
-        n: usize,
-        make: F,
-    ) -> Result<SubmittingCluster<O, N::Request>, NetError>
-    where
-        N: Submitter<Output = O> + Send + 'static,
-        N::Msg: Wire + Send + 'static,
-        N::Request: Send + 'static,
-        O: Send + 'static,
-        F: FnMut(NodeId) -> N,
-    {
-        ClusterBuilder::new(n).spawn_submitting(make).map(|(cluster, _)| cluster)
-    }
-
     /// Stops node `id` abruptly — the in-process stand-in for `kill -9`:
     /// its threads wind down without any shutdown protocol, sockets break
     /// mid-stream, and nothing is flushed that was not already flushed.
@@ -296,25 +207,15 @@ impl<O> Cluster<O> {
         N::Msg: Wire + Send + 'static,
         O: Send + 'static,
     {
-        self.handles[id.index()].abort();
-        let listener = self.topology.bind_retry(id, REBIND_WINDOW)?;
-        let (handle, _events) = run_node_inner::<N, std::convert::Infallible>(
-            node,
-            id,
-            listener,
-            self.topology.clone(),
-            self.tx.clone(),
-            self.setup.clone(),
-            None,
-            |_, never| match never {},
-        )?;
-        self.handles[id.index()] = handle;
+        let listener = self.rebind(id)?;
+        self.launch(id, listener, node, Ingress::none())?;
         Ok(())
     }
 
-    /// Like [`Cluster::restart_node`] for [`Submitter`] nodes: the
-    /// replacement also gets a fresh [`SubmitHandle`] (handles of the
-    /// killed node are dead and return [`crate::SubmitClosed`]).
+    /// Like [`Cluster::restart_node`] for a node of a
+    /// [`ClusterBuilder::spawn_serving`] cluster: the replacement serves
+    /// TCP clients again and gets a fresh [`SubmitHandle`] (handles of
+    /// the killed node are dead and return [`crate::SubmitClosed`]).
     ///
     /// # Errors
     ///
@@ -323,7 +224,7 @@ impl<O> Cluster<O> {
     /// # Panics
     ///
     /// Panics if `id` is out of range.
-    pub fn restart_submitter<N>(
+    pub fn restart_serving<N>(
         &mut self,
         id: NodeId,
         node: N,
@@ -331,22 +232,48 @@ impl<O> Cluster<O> {
     where
         N: Submitter<Output = O> + Send + 'static,
         N::Msg: Wire + Send + 'static,
-        N::Request: Send + 'static,
+        N::Request: FrameRequest + Send + 'static,
         O: Send + 'static,
     {
-        self.handles[id.index()].abort();
-        let listener = self.topology.bind_retry(id, REBIND_WINDOW)?;
-        let (handle, submit) = run_submitter_inner(
+        let listener = self.rebind(id)?;
+        let events = self.launch(id, listener, node, Ingress::serving())?;
+        Ok(SubmitHandle::new(events))
+    }
+
+    /// Kills slot `id` and re-binds its listen address, waiting out the
+    /// dying accept loop's `AddrInUse` window.
+    fn rebind(&self, id: NodeId) -> Result<TcpListener, NetError> {
+        self.kill(id);
+        self.topology.bind_retry(id, REBIND_WINDOW)
+    }
+
+    /// Runs `node` in slot `id` on `listener` — the one per-node spawn
+    /// behind every spawn and restart — and returns its engine's event
+    /// channel.
+    fn launch<N, R>(
+        &mut self,
+        id: NodeId,
+        listener: TcpListener,
+        node: N,
+        ingress: Ingress<N, R>,
+    ) -> Result<mpsc::Sender<Event<N::Msg, R>>, NetError>
+    where
+        N: Node<Output = O> + Send + 'static,
+        N::Msg: Wire + Send + 'static,
+        O: Send + 'static,
+        R: Send + 'static,
+    {
+        let (handle, events) = spawn_node(
             node,
             id,
             listener,
             self.topology.clone(),
             self.tx.clone(),
             self.setup.clone(),
-            None,
+            ingress,
         )?;
         self.handles[id.index()] = handle;
-        Ok(submit)
+        Ok(events)
     }
 
     /// The addresses this cluster's nodes listen on — what a TCP client
@@ -419,8 +346,8 @@ impl<O> ShardedCluster<O> {
         let (merged_tx, merged) = mpsc::channel();
         let mut handles = Vec::with_capacity(k);
         for j in 0..k {
-            let Cluster { outputs, handles: shard_handles, .. } =
-                Cluster::spawn(n, |id| make(j, id))?;
+            let (Cluster { outputs, handles: shard_handles, .. }, _) =
+                ClusterBuilder::new(n).spawn(|id| make(j, id))?;
             handles.push(shard_handles);
             // Forwarder: tags the shard's outputs and exits when its node
             // threads stop (their senders drop); once every forwarder is

@@ -4,11 +4,17 @@
 //! evaluation needs.
 //!
 //! The same sans-I/O [`tetrabft_engine::Node`] state machines the
-//! simulator drives run here over real sockets (std networking, one
-//! thread per connection — no async runtime dependency), through the very
-//! same [`tetrabft_engine::Engine`] loop — this crate only provides the
-//! threaded TCP [`tetrabft_engine::Transport`]:
+//! simulator drives run here over real sockets (std networking, no async
+//! runtime dependency), through the very same [`tetrabft_engine::Engine`]
+//! loop — this crate only provides the TCP [`tetrabft_engine::Transport`],
+//! on two threads per node (a readiness-polled reactor and the engine
+//! loop), whatever the cluster size or client count:
 //!
+//! * [`ClusterBuilder::spawn`] runs any `Node`,
+//!   [`ClusterBuilder::spawn_serving`] runs `Submitter`s that also serve
+//!   framed TCP clients, [`ShardedCluster::spawn`] runs `k` builder
+//!   clusters side by side, and [`Cluster::restart_node`] /
+//!   [`Cluster::restart_serving`] restart a node the way it was spawned;
 //! * every node listens on a [`Topology`]-declared TCP address (ephemeral
 //!   OS-assigned localhost ports by default, arbitrary `SocketAddr`s for
 //!   real deployments) and dials every peer (full mesh);
@@ -20,9 +26,9 @@
 //!   idempotent votes and buffer overflow degrades to ordinary loss);
 //! * links can be **conditioned** by the same declarative
 //!   [`LinkPlan`] the simulator consumes — per-edge one-way delay, jitter,
-//!   drop probability, and scripted partition windows — so one scenario
-//!   runs identically in virtual and wall-clock time, and [`NetControl`]
-//!   can kill live sockets mid-run;
+//!   drop probability, and scripted partition windows — and priced by
+//!   the plan's own `route_at`, so one scenario runs identically in
+//!   virtual and wall-clock time; [`NetControl`] can kill live sockets;
 //! * a connection is an **authenticated channel**: the 10-byte hello
 //!   names the sender and its durable incarnation, the acceptor acks with
 //!   its own, and the process trusts the OS connection thereafter — the
@@ -40,13 +46,13 @@
 //!
 //! ```no_run
 //! use tetrabft::{Params, TetraNode};
-//! use tetrabft_net::Cluster;
+//! use tetrabft_net::ClusterBuilder;
 //! use tetrabft_types::{Config, Value};
 //!
 //! # fn main() -> Result<(), tetrabft_net::NetError> {
 //! let cfg = Config::new(4).unwrap();
-//! let mut cluster =
-//!     Cluster::spawn(4, |id| TetraNode::new(cfg, Params::new(200), id, Value::from_u64(7)))?;
+//! let (mut cluster, _net) = ClusterBuilder::new(4)
+//!     .spawn(|id| TetraNode::new(cfg, Params::new(200), id, Value::from_u64(7)))?;
 //! for _ in 0..4 {
 //!     let (node, decided) = cluster.next_output().unwrap();
 //!     println!("{node} decided {decided}");
@@ -69,7 +75,7 @@ mod topology;
 pub use cluster::{Cluster, ClusterBuilder, ShardedCluster, SubmittingCluster};
 pub use link::{NetControl, NetStats, PeerTraffic};
 pub use reactor::CLIENT_HELLO_ID;
-pub use runner::{run_node, run_submitter, NodeHandle, SubmitClosed, SubmitHandle};
+pub use runner::{SubmitClosed, SubmitHandle};
 pub use topology::{NetError, Topology, TopologyError};
 // The request-decode half of the TCP submit path lives with the engine so
 // every runtime shares it; re-export for serving-cluster embedders.

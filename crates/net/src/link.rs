@@ -1,12 +1,11 @@
-//! Link conditioning and fault injection for the TCP layer.
+//! Link state shared by one cluster: the [`LinkSetup`] every supervised
+//! link is built from, and [`NetControl`], the test/benchmark handle —
+//! aggregated link metrics plus one-shot socket kills.
 //!
-//! The declarative scenario ([`tetrabft_sim::LinkPlan`]) is shared with
-//! the simulator; this module is its wall-clock interpretation. Each
-//! directed edge gets an [`EdgeConditioner`] that stamps outbound frames
-//! with a due time (base delay + jitter), samples drops, and reports
-//! scripted partition windows, all deterministically from a per-edge seed.
-//! [`NetControl`] is the test/benchmark handle: aggregated link metrics
-//! plus one-shot socket kills.
+//! A [`LinkPlan`] has one interpreter, its own methods: links take loss,
+//! delay, jitter, and partition release from [`LinkPlan::route_at`] and
+//! [`LinkPlan::release_time`], as the simulator does. [`LinkSetup`] adds
+//! only the ms-to-instant conversion and the FIFO clamp of a TCP stream.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -16,7 +15,7 @@ use std::time::{Duration, Instant};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use tetrabft_sim::{EdgeSpec, LinkPlan, PartitionWindow};
+use tetrabft_sim::LinkPlan;
 use tetrabft_types::NodeId;
 
 /// Aggregated counters of every supervised link of one cluster/node.
@@ -152,13 +151,6 @@ pub struct NetControl {
 }
 
 impl NetControl {
-    pub(crate) fn new(
-        metrics: Arc<NetMetrics>,
-        cuts: Arc<HashMap<(u16, u16), Arc<AtomicBool>>>,
-    ) -> Self {
-        NetControl { metrics, cuts }
-    }
-
     /// Current link-layer counters, aggregated over every edge.
     pub fn stats(&self) -> NetStats {
         self.metrics.snapshot()
@@ -193,10 +185,16 @@ impl NetControl {
     }
 }
 
+/// Salts of a directed edge's two RNG streams (see
+/// [`LinkSetup::edge_rng`]): the plan's loss and jitter draws, and the
+/// redial backoff jitter.
+pub(crate) const ROUTE_SALT: u64 = 0x9E37_79B9_7F4A_7C15;
+pub(crate) const BACKOFF_SALT: u64 = 0xA076_1D64_78BD_642F;
+
 /// Everything the per-node runner needs to condition and supervise its
-/// outbound links: the shared plan, the common epoch partition windows are
-/// measured from, the metrics sink, and the cut flags (one per directed
-/// edge, shared with [`NetControl`]).
+/// outbound links: the shared plan, the common epoch its milliseconds are
+/// measured from, the metrics sink, the cut flags (one per directed edge,
+/// shared with [`NetControl`]), and the seed of every edge's RNG streams.
 #[derive(Debug, Clone)]
 pub(crate) struct LinkSetup {
     pub plan: Arc<LinkPlan>,
@@ -207,8 +205,8 @@ pub(crate) struct LinkSetup {
 }
 
 impl LinkSetup {
-    /// A standalone node's setup: the given plan, fresh metrics, and cut
-    /// flags for every directed edge of an `n`-node mesh.
+    /// A cluster's setup: the given plan, fresh metrics, and cut flags for
+    /// every directed edge of an `n`-node mesh.
     pub(crate) fn new(plan: LinkPlan, n: usize, seed: u64) -> Self {
         let mut cuts = HashMap::new();
         for a in 0..n as u16 {
@@ -232,81 +230,99 @@ impl LinkSetup {
     }
 
     pub(crate) fn control(&self) -> NetControl {
-        NetControl::new(Arc::clone(&self.metrics), Arc::clone(&self.cuts))
+        NetControl { metrics: Arc::clone(&self.metrics), cuts: Arc::clone(&self.cuts) }
     }
 
-    pub(crate) fn conditioner(&self, from: NodeId, to: NodeId) -> EdgeConditioner {
-        EdgeConditioner::new(&self.plan, from, to, self.epoch, self.seed)
+    /// The RNG stream `salt` of directed edge `from → to`, derived from
+    /// the cluster seed — runs are reproducible modulo wall-clock timing.
+    pub(crate) fn edge_rng(&self, salt: u64, from: NodeId, to: NodeId) -> StdRng {
+        let edge = (u64::from(from.0) << 16) | u64::from(to.0);
+        StdRng::seed_from_u64(self.seed.wrapping_mul(salt) ^ edge)
     }
-}
 
-/// The wall-clock interpretation of one directed edge of a [`LinkPlan`]:
-/// stamps frames with due times, samples drops, and translates partition
-/// windows into absolute instants.
-#[derive(Debug)]
-pub(crate) struct EdgeConditioner {
-    spec: EdgeSpec,
-    /// Only the windows that sever this edge.
-    windows: Vec<PartitionWindow>,
-    epoch: Instant,
-    rng: StdRng,
-    /// Links are FIFO: a jittered frame never overtakes its predecessor.
-    last_due: Instant,
-}
-
-impl EdgeConditioner {
-    pub(crate) fn new(
-        plan: &LinkPlan,
+    /// Prices one frame enqueued on `from → to` at `now` with
+    /// [`LinkPlan::route_at`], drawing from the edge's `rng`: `None` if the
+    /// plan drops it, otherwise the instant it becomes writable — never
+    /// before `last_due`, which advances to it, so jitter cannot reorder a
+    /// TCP stream.
+    pub(crate) fn admit(
+        &self,
         from: NodeId,
         to: NodeId,
-        epoch: Instant,
-        seed: u64,
-    ) -> Self {
-        let windows = plan.partitions().iter().filter(|w| w.severs(from, to)).cloned().collect();
-        // One deterministic stream per directed edge, derived from the
-        // cluster seed — runs are reproducible modulo wall-clock jitter.
-        let edge = (u64::from(from.0) << 16) | u64::from(to.0);
-        let rng = StdRng::seed_from_u64(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ edge);
-        EdgeConditioner { spec: plan.edge_spec(from, to), windows, epoch, rng, last_due: epoch }
+        now: Instant,
+        rng: &mut StdRng,
+        last_due: &mut Instant,
+    ) -> Option<Instant> {
+        let due_ms = self.plan.route_at(from, to, self.plan_ms(now), rng)?;
+        *last_due = self.plan_instant(due_ms).max(*last_due);
+        Some(*last_due)
     }
 
-    /// Admits one frame enqueued at `now`: `None` if the loss rate drops
-    /// it, otherwise the instant it becomes writable (FIFO-clamped so
-    /// jitter cannot reorder a TCP stream). A frame admitted inside a
-    /// severed window counts its one-way delay from the heal, exactly as
-    /// `LinkPlan::route_at` prices it for the simulator.
-    pub(crate) fn admit(&mut self, now: Instant) -> Option<Instant> {
-        let delay = self.spec.sample(&mut self.rng)?;
-        let release = self.severed_until(now).unwrap_or(now);
-        let due = (release + Duration::from_millis(delay)).max(self.last_due);
-        self.last_due = due;
-        Some(due)
+    /// If a scripted partition severs `from → to` at `now`, the instant
+    /// the (possibly chained) windows heal, per [`LinkPlan::release_time`];
+    /// `None` when connected.
+    pub(crate) fn severed_until(&self, from: NodeId, to: NodeId, now: Instant) -> Option<Instant> {
+        let at = self.plan_ms(now);
+        let heal = self.plan.release_time(from, to, at);
+        (heal > at).then(|| self.plan_instant(heal))
     }
 
-    /// If this edge is inside a scripted partition at `now`, the instant
-    /// the (possibly chained) windows heal; `None` when connected.
-    pub(crate) fn severed_until(&self, now: Instant) -> Option<Instant> {
-        if self.windows.is_empty() {
-            return None;
-        }
-        let at_ms = now.saturating_duration_since(self.epoch).as_millis() as u64;
-        let heal = PartitionWindow::release_time(&self.windows, at_ms);
-        (heal > at_ms).then(|| self.epoch + Duration::from_millis(heal))
+    /// Milliseconds since the epoch at `now` — the clock a [`LinkPlan`]
+    /// is written in.
+    fn plan_ms(&self, now: Instant) -> u64 {
+        now.saturating_duration_since(self.epoch).as_millis() as u64
+    }
+
+    /// The instant `ms` plan milliseconds after the epoch.
+    fn plan_instant(&self, ms: u64) -> Instant {
+        self.epoch + Duration::from_millis(ms)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::Rng;
+    use tetrabft_sim::{EdgeSpec, PartitionWindow};
+
+    /// What a supervised link holds for edge `from → to`: the cluster
+    /// setup, the edge's route stream, and its FIFO watermark.
+    struct Edge {
+        setup: LinkSetup,
+        from: NodeId,
+        to: NodeId,
+        rng: StdRng,
+        last_due: Instant,
+    }
+
+    impl Edge {
+        fn new(plan: LinkPlan, n: usize, from: NodeId, to: NodeId, seed: u64) -> Self {
+            let setup = LinkSetup::new(plan, n, seed);
+            let rng = setup.edge_rng(ROUTE_SALT, from, to);
+            Edge { last_due: setup.epoch, setup, from, to, rng }
+        }
+
+        fn epoch(&self) -> Instant {
+            self.setup.epoch
+        }
+
+        fn admit(&mut self, now: Instant) -> Option<Instant> {
+            self.setup.admit(self.from, self.to, now, &mut self.rng, &mut self.last_due)
+        }
+    }
+
+    /// Edge `0 → 1` of a two-node cluster.
+    fn edge(plan: LinkPlan, seed: u64) -> Edge {
+        Edge::new(plan, 2, NodeId(0), NodeId(1), seed)
+    }
 
     #[test]
     fn conditioner_preserves_fifo_under_jitter() {
-        let plan = LinkPlan::uniform(EdgeSpec::delay(5).with_jitter(20));
-        let mut c = plan_conditioner(&plan);
+        let mut e = edge(LinkPlan::uniform(EdgeSpec::delay(5).with_jitter(20)), 0);
         let now = Instant::now();
         let mut prev = now;
         for _ in 0..100 {
-            let due = c.admit(now).unwrap();
+            let due = e.admit(now).unwrap();
             assert!(due >= prev, "a later frame must not be due before an earlier one");
             prev = due;
         }
@@ -319,10 +335,10 @@ mod tests {
             500,
             [NodeId(0)],
         ));
-        let mut c = plan_conditioner(&plan);
-        let due = c.admit(c.epoch + Duration::from_millis(100)).unwrap();
+        let mut e = edge(plan, 0);
+        let due = e.admit(e.epoch() + Duration::from_millis(100)).unwrap();
         // Same pricing as LinkPlan::route_at: release at 500, then 30 ms.
-        assert_eq!(due.duration_since(c.epoch), Duration::from_millis(530));
+        assert_eq!(due.duration_since(e.epoch()), Duration::from_millis(530));
     }
 
     #[test]
@@ -332,10 +348,11 @@ mod tests {
             50,
             [NodeId(0)],
         ));
-        let c = plan_conditioner(&plan);
-        let heal = c.severed_until(c.epoch).expect("severed at the epoch");
-        assert_eq!(heal.duration_since(c.epoch), Duration::from_millis(50));
-        assert!(c.severed_until(c.epoch + Duration::from_millis(60)).is_none());
+        let setup = LinkSetup::new(plan, 2, 0);
+        let severed_until = |ms| setup.severed_until(NodeId(0), NodeId(1), setup.epoch + ms);
+        let heal = severed_until(Duration::ZERO).expect("severed at the epoch");
+        assert_eq!(heal.duration_since(setup.epoch), Duration::from_millis(50));
+        assert!(severed_until(Duration::from_millis(60)).is_none());
     }
 
     #[test]
@@ -345,23 +362,45 @@ mod tests {
             50,
             [NodeId(3)],
         ));
-        let c = plan_conditioner(&plan); // edge 0 → 1
-        assert!(c.severed_until(c.epoch).is_none());
+        let setup = LinkSetup::new(plan, 2, 0);
+        assert!(setup.severed_until(NodeId(0), NodeId(1), setup.epoch).is_none());
     }
 
     #[test]
     fn lossy_edges_drop_deterministically_per_seed() {
         let plan = LinkPlan::uniform(EdgeSpec::delay(1).with_drop(0.5));
         let count = |seed| {
-            let mut c = EdgeConditioner::new(&plan, NodeId(0), NodeId(1), Instant::now(), seed);
+            let mut e = edge(plan.clone(), seed);
             let now = Instant::now();
-            (0..200).filter(|_| c.admit(now).is_none()).count()
+            (0..200).filter(|_| e.admit(now).is_none()).count()
         };
         assert_eq!(count(9), count(9));
         assert!((50..150).contains(&count(9)));
     }
 
-    fn plan_conditioner(plan: &LinkPlan) -> EdgeConditioner {
-        EdgeConditioner::new(plan, NodeId(0), NodeId(1), Instant::now(), 0)
+    /// The TCP link is no second interpreter: fed the same RNG stream, its
+    /// due offsets are exactly `LinkPlan::route_at`'s delivery times, up to
+    /// the FIFO clamp (a due time never precedes the previous frame's).
+    #[test]
+    fn due_offsets_match_route_at_apart_from_the_fifo_clamp() {
+        for plan_seed in 0..8 {
+            let plan = LinkPlan::sample(&mut StdRng::seed_from_u64(plan_seed), 4, 2_000, 3);
+            let edges = (0..4u16).flat_map(|a| (0..4u16).map(move |b| (NodeId(a), NodeId(b))));
+            for (from, to) in edges.filter(|(a, b)| a != b) {
+                let seed = plan_seed * 31 + u64::from(from.0);
+                let mut e = Edge::new(plan.clone(), 4, from, to, seed);
+                let mut oracle = e.setup.edge_rng(ROUTE_SALT, from, to);
+                let mut times = StdRng::seed_from_u64(seed);
+                let (mut at, mut last) = (0u64, 0u64);
+                for _ in 0..300 {
+                    at += times.random_range(0..=15u64);
+                    let due = e.admit(e.epoch() + Duration::from_millis(at));
+                    let want = plan.route_at(from, to, at, &mut oracle);
+                    let got = due.map(|d| d.duration_since(e.epoch()).as_millis() as u64);
+                    assert_eq!(got, want.map(|w| w.max(last)), "plan {plan}, {from}→{to}, at {at}");
+                    last = got.unwrap_or(last);
+                }
+            }
+        }
     }
 }

@@ -15,10 +15,10 @@
 //!   the zero-copy [`FrameDecoder`];
 //! * a hello naming the reserved client id (`0xFFFF`) marks a **client
 //!   submission connection** (only honored when the node runs with a
-//!   request codec — see `Cluster::spawn_serving`): its frames decode as
-//!   client requests and enter the engine mux as submissions, which is
-//!   how one node serves thousands of submitting clients without a
-//!   thread per connection;
+//!   request codec — see `ClusterBuilder::spawn_serving`): its frames
+//!   decode as client requests and enter the engine mux as submissions,
+//!   which is how one node serves thousands of submitting clients
+//!   without a thread per connection;
 //! * outbound links are [`Link`] state machines (dial → handshake → up,
 //!   with jittered backoff, incarnation fencing, bounded buffered
 //!   resume — see `supervisor.rs`);
@@ -124,17 +124,12 @@ pub(crate) fn run_reactor<M, R>(
             }
             let link_cfg = LinkConfig {
                 me: cfg.me,
+                peer,
                 my_incarnation: cfg.my_incarnation,
                 addr: cfg.topology.addr(peer),
-                conditioner: cfg.links.conditioner(cfg.me, peer),
-                cut: cfg.links.cut_flag(cfg.me, peer),
-                metrics: Arc::clone(&cfg.links.metrics),
+                links: cfg.links.clone(),
             };
-            // An independent jitter stream per directed edge, offset from
-            // the conditioner's seed derivation so the two never correlate.
-            let jitter_seed = cfg.links.seed.wrapping_mul(0xA076_1D64_78BD_642F)
-                ^ ((u64::from(cfg.me.0) << 16) | u64::from(peer.0));
-            Some(Link::new(link_cfg, 1 + i, jitter_seed))
+            Some(Link::new(link_cfg, 1 + i))
         })
         .collect();
 

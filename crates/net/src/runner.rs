@@ -22,6 +22,7 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::convert::Infallible;
 use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
@@ -30,8 +31,9 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use polling::Poller;
-use tetrabft_engine::{Dest, Engine, EngineEvent, Node, Submitter, Time, TimerId, Transport};
-use tetrabft_sim::LinkPlan;
+use tetrabft_engine::{
+    Dest, Engine, EngineEvent, FrameRequest, Node, Submitter, Time, TimerId, Transport,
+};
 use tetrabft_types::NodeId;
 use tetrabft_wire::frame::encode_frame_into;
 use tetrabft_wire::{Wire, Writer};
@@ -52,7 +54,7 @@ pub(crate) enum Event<M, R> {
 type Arming = (Instant, u64, TimerId);
 
 /// A spawned node: its stop handle plus the event channel feeding its
-/// engine mux (kept internal; submitters wrap it in a [`SubmitHandle`]).
+/// engine mux (kept internal; serving nodes wrap it in a [`SubmitHandle`]).
 type Spawned<M, R> = (NodeHandle, mpsc::Sender<Event<M, R>>);
 
 /// Frames staged for one peer, handed to the reactor on flush.
@@ -67,18 +69,18 @@ const MAX_BATCH: usize = 64;
 /// promptly even on an idle node.
 const ENGINE_POLL: Duration = Duration::from_millis(20);
 
-/// Handle to a running node.
+/// Stop handle of a running node (the default handle stops nothing).
 ///
 /// The node's event loop stops when the handle is aborted or dropped; its
 /// reactor unwinds with it, closing every socket it owns.
-#[derive(Debug)]
-pub struct NodeHandle {
+#[derive(Debug, Default)]
+pub(crate) struct NodeHandle {
     stop: Arc<AtomicBool>,
 }
 
 impl NodeHandle {
     /// Stops the node.
-    pub fn abort(&self) {
+    pub(crate) fn abort(&self) {
         self.stop.store(true, Ordering::Relaxed);
     }
 }
@@ -117,6 +119,15 @@ impl std::fmt::Display for SubmitClosed {
 }
 
 impl std::error::Error for SubmitClosed {}
+
+impl<R: Send + 'static> SubmitHandle<R> {
+    /// Wraps the event channel of a spawned node's engine mux.
+    pub(crate) fn new<M: Send + 'static>(events: mpsc::Sender<Event<M, R>>) -> Self {
+        SubmitHandle {
+            send: Box::new(move |req| events.send(Event::Submit(req)).map_err(|_| SubmitClosed)),
+        }
+    }
+}
 
 impl<R> SubmitHandle<R> {
     /// Enqueues one client request for the node's engine mux. Accepts
@@ -227,6 +238,39 @@ impl<M: Wire, R, O> Transport<M, O> for TcpTransport<'_, M, R, O> {
     }
 }
 
+/// How a node takes client requests: the decoder its reactor applies to
+/// client-connection frames (`None` refuses client hellos) and the
+/// admission step its engine loop runs on each decoded request.
+pub(crate) struct Ingress<N, R> {
+    codec: Option<SubmitCodec<R>>,
+    accept: fn(&mut N, R),
+}
+
+impl<N: Node> Ingress<N, Infallible> {
+    /// A peer-only node: no client connections, nothing to admit.
+    pub(crate) fn none() -> Self {
+        Ingress { codec: None, accept: |_, never| match never {} }
+    }
+}
+
+impl<N: Submitter> Ingress<N, N::Request>
+where
+    N::Request: FrameRequest,
+{
+    /// A serving node: client frames decode through [`FrameRequest`], and
+    /// the node's own mempool admits them. Refused submissions (mempool
+    /// full, degenerate tx) are dropped here; the admission verdict lives
+    /// on the node's thread.
+    pub(crate) fn serving() -> Self {
+        Ingress {
+            codec: Some(N::Request::from_frame),
+            accept: |node, req| {
+                let _ = node.accept(req);
+            },
+        }
+    }
+}
+
 /// Runs `node` as `me`, listening on `listener` and dialing the peers of
 /// `topology` (indexed by [`NodeId`]); outputs are forwarded to `outputs`.
 ///
@@ -237,102 +281,15 @@ impl<M: Wire, R, O> Transport<M, O> for TcpTransport<'_, M, R, O> {
 ///
 /// # Errors
 ///
-/// [`NetError`] if the listener or poller cannot be configured.
-pub fn run_node<N>(
-    node: N,
-    me: NodeId,
-    listener: TcpListener,
-    topology: Topology,
-    outputs: mpsc::Sender<(NodeId, N::Output)>,
-) -> Result<NodeHandle, NetError>
-where
-    N: Node + Send + 'static,
-    N::Msg: Wire + Send + 'static,
-    N::Output: Send + 'static,
-{
-    let links = LinkSetup::new(LinkPlan::ideal(), topology.len(), 0);
-    let (handle, _event_tx) = run_node_inner::<N, std::convert::Infallible>(
-        node,
-        me,
-        listener,
-        topology,
-        outputs,
-        links,
-        None,
-        |_, never| match never {},
-    )?;
-    Ok(handle)
-}
-
-/// Like [`run_node`] for nodes accepting client submissions
-/// ([`Submitter`]): the returned [`SubmitHandle`] feeds requests into the
-/// node's engine mux alongside deliveries and timers.
-///
-/// # Errors
-///
-/// As [`run_node`].
-pub fn run_submitter<N>(
-    node: N,
-    me: NodeId,
-    listener: TcpListener,
-    topology: Topology,
-    outputs: mpsc::Sender<(NodeId, N::Output)>,
-) -> Result<(NodeHandle, SubmitHandle<N::Request>), NetError>
-where
-    N: Submitter + Send + 'static,
-    N::Msg: Wire + Send + 'static,
-    N::Output: Send + 'static,
-    N::Request: Send + 'static,
-{
-    let links = LinkSetup::new(LinkPlan::ideal(), topology.len(), 0);
-    run_submitter_inner(node, me, listener, topology, outputs, links, None)
-}
-
-pub(crate) fn run_submitter_inner<N>(
+/// [`NetError`] if the poller cannot be created.
+pub(crate) fn spawn_node<N, R>(
     node: N,
     me: NodeId,
     listener: TcpListener,
     topology: Topology,
     outputs: mpsc::Sender<(NodeId, N::Output)>,
     links: LinkSetup,
-    codec: Option<SubmitCodec<N::Request>>,
-) -> Result<(NodeHandle, SubmitHandle<N::Request>), NetError>
-where
-    N: Submitter + Send + 'static,
-    N::Msg: Wire + Send + 'static,
-    N::Output: Send + 'static,
-    N::Request: Send + 'static,
-{
-    let (handle, event_tx) = run_node_inner::<N, N::Request>(
-        node,
-        me,
-        listener,
-        topology,
-        outputs,
-        links,
-        codec,
-        // Refused submissions (mempool full, degenerate tx) are dropped
-        // here; the admission verdict lives on the node's thread.
-        |node, req| {
-            let _ = node.accept(req);
-        },
-    )?;
-    let submit = SubmitHandle {
-        send: Box::new(move |req| event_tx.send(Event::Submit(req)).map_err(|_| SubmitClosed)),
-    };
-    Ok((handle, submit))
-}
-
-#[allow(clippy::too_many_arguments)] // internal seam; public entry points are narrow
-pub(crate) fn run_node_inner<N, R>(
-    node: N,
-    me: NodeId,
-    listener: TcpListener,
-    topology: Topology,
-    outputs: mpsc::Sender<(NodeId, N::Output)>,
-    links: LinkSetup,
-    codec: Option<SubmitCodec<R>>,
-    mut on_submit: impl FnMut(&mut N, R) + Send + 'static,
+    ingress: Ingress<N, R>,
 ) -> Result<Spawned<N::Msg, R>, NetError>
 where
     N: Node + Send + 'static,
@@ -359,7 +316,7 @@ where
         listener,
         topology,
         links,
-        codec,
+        codec: ingress.codec,
         stop: Arc::clone(&stop),
     };
     let reactor_poller = Arc::clone(&poller);
@@ -452,7 +409,7 @@ where
                         Event::Deliver { from, msg } => {
                             b.step(EngineEvent::Deliver { from, msg }, now());
                         }
-                        Event::Submit(req) => on_submit(b.node_mut(), req),
+                        Event::Submit(req) => (ingress.accept)(b.node_mut(), req),
                     }
                     drained += 1;
                     if drained < MAX_BATCH {

@@ -28,11 +28,10 @@
 //!   is *at-least-once* (duplicates are harmless: every protocol message
 //!   is an idempotent vote); a shed frame is an ordinary loss the
 //!   protocol absorbs through view changes;
-//! * **link conditioning** — the shared [`LinkPlan`]'s per-edge delay,
-//!   jitter, and loss are applied before frames reach the socket, and
-//!   scripted partition windows proactively sever the connection (frames
-//!   buffer and become due at heal + delay, the same price
-//!   `LinkPlan::route_at` charges in the simulator).
+//! * **link conditioning** — each frame is priced by the shared
+//!   [`LinkPlan`]'s own `route_at`, the call the simulator makes (loss,
+//!   delay, jitter, release at heal), and scripted partition windows
+//!   proactively sever the connection until `LinkPlan::release_time`.
 //!
 //! [`LinkPlan`]: tetrabft_sim::LinkPlan
 
@@ -45,11 +44,11 @@ use std::time::{Duration, Instant};
 
 use polling::{Event, Poller};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 
 use tetrabft_types::NodeId;
 
-use crate::link::{EdgeConditioner, NetMetrics};
+use crate::link::{LinkSetup, BACKOFF_SALT, ROUTE_SALT};
 
 /// Frames a supervised link will not buffer beyond; the oldest frame is
 /// shed first (newer consensus messages supersede older ones, and the
@@ -70,15 +69,13 @@ const ACK_TIMEOUT: Duration = Duration::from_millis(500);
 /// One directed link's static configuration.
 pub(crate) struct LinkConfig {
     pub me: NodeId,
+    pub peer: NodeId,
     /// This node's own incarnation (0 for non-durable nodes), announced in
     /// every hello so the far side can fence *our* stale state too.
     pub my_incarnation: u64,
     pub addr: SocketAddr,
-    pub conditioner: EdgeConditioner,
-    /// One-shot fault injection: when set, the live socket is killed (and
-    /// the flag consumed); the link reconnects and resends.
-    pub cut: Arc<AtomicBool>,
-    pub metrics: Arc<NetMetrics>,
+    /// The cluster's shared plan, epoch, metrics, cut flags, and seed.
+    pub links: LinkSetup,
 }
 
 /// Where one outbound connection currently stands.
@@ -106,6 +103,14 @@ pub(crate) struct Link {
     cfg: LinkConfig,
     /// This link's stable key in the reactor's poller.
     key: usize,
+    /// One-shot fault injection: when set, the live socket is killed (and
+    /// the flag consumed); the link reconnects and resends.
+    cut: Arc<AtomicBool>,
+    /// The plan's loss and jitter draws for this edge.
+    route_rng: StdRng,
+    /// The latest due time handed out: links are FIFO, so a jittered
+    /// frame never overtakes its predecessor.
+    last_due: Instant,
     state: LinkState,
     /// Conditioned frames not yet retired, with their due times.
     pending: VecDeque<(Instant, Arc<Vec<u8>>)>,
@@ -122,18 +127,23 @@ pub(crate) struct Link {
     peer_incarnation: Option<u64>,
     backoff: Duration,
     next_dial: Instant,
-    /// Jitter source for the backoff (seeded per edge, deterministic).
-    rng: StdRng,
+    /// Jitter source for the backoff.
+    backoff_rng: StdRng,
     /// Interest currently armed in the poller, `None` when no socket is
     /// registered. Oneshot delivery disarms; whoever changes state re-arms.
     armed: Option<(bool, bool)>,
 }
 
 impl Link {
-    pub(crate) fn new(cfg: LinkConfig, key: usize, jitter_seed: u64) -> Self {
+    pub(crate) fn new(cfg: LinkConfig, key: usize) -> Self {
+        let (me, peer) = (cfg.me, cfg.peer);
         Link {
-            cfg,
             key,
+            cut: cfg.links.cut_flag(me, peer),
+            route_rng: cfg.links.edge_rng(ROUTE_SALT, me, peer),
+            last_due: cfg.links.epoch,
+            backoff_rng: cfg.links.edge_rng(BACKOFF_SALT, me, peer),
+            cfg,
             state: LinkState::Down,
             pending: VecDeque::new(),
             cursor: 0,
@@ -142,17 +152,17 @@ impl Link {
             peer_incarnation: None,
             backoff: BACKOFF_MIN,
             next_dial: Instant::now(),
-            rng: StdRng::seed_from_u64(jitter_seed),
             armed: None,
         }
     }
 
-    /// Admits a batch of frames through the edge conditioner into the
-    /// bounded pending queue (drops, sheds, and the send-queue high-water
-    /// mark are counted here).
+    /// Admits a batch of frames through the plan into the bounded pending
+    /// queue (drops, sheds, and the send-queue high-water mark are counted
+    /// here).
     pub(crate) fn enqueue(&mut self, batch: Vec<Arc<Vec<u8>>>, now: Instant) {
         for frame in batch {
-            match self.cfg.conditioner.admit(now) {
+            let (me, peer) = (self.cfg.me, self.cfg.peer);
+            match self.cfg.links.admit(me, peer, now, &mut self.route_rng, &mut self.last_due) {
                 Some(due) => {
                     self.pending.push_back((due, frame));
                     if self.pending.len() > MAX_BUFFERED_FRAMES {
@@ -160,15 +170,15 @@ impl Link {
                         // would desynchronize the peer's decoder.
                         let at = usize::from(self.cursor > 0);
                         self.pending.remove(at);
-                        self.cfg.metrics.frames_shed.fetch_add(1, Ordering::Relaxed);
+                        self.cfg.links.metrics.frames_shed.fetch_add(1, Ordering::Relaxed);
                     }
                 }
                 None => {
-                    self.cfg.metrics.frames_dropped.fetch_add(1, Ordering::Relaxed);
+                    self.cfg.links.metrics.frames_dropped.fetch_add(1, Ordering::Relaxed);
                 }
             }
         }
-        self.cfg.metrics.note_queue_depth(self.pending.len() as u64);
+        self.cfg.links.metrics.note_queue_depth(self.pending.len() as u64);
     }
 
     /// One supervision pass: consume cut flags, honor partition windows,
@@ -176,10 +186,10 @@ impl Link {
     /// the earliest instant at which this link needs another pass (`None`
     /// when it only reacts to readiness or new frames).
     pub(crate) fn housekeep(&mut self, now: Instant, poller: &Poller) -> Option<Instant> {
-        if self.cfg.cut.swap(false, Ordering::Relaxed) {
+        if self.cut.swap(false, Ordering::Relaxed) {
             self.teardown(poller);
         }
-        if let Some(heal) = self.cfg.conditioner.severed_until(now) {
+        if let Some(heal) = self.cfg.links.severed_until(self.cfg.me, self.cfg.peer, now) {
             // Scripted partition: hold the line down; frames keep queueing.
             self.teardown(poller);
             return Some(heal);
@@ -323,7 +333,7 @@ impl Link {
         let _ = deadline;
         let peer_inc = u64::from_be_bytes(*ack);
         if self.connected_once {
-            self.cfg.metrics.reconnects.fetch_add(1, Ordering::Relaxed);
+            self.cfg.links.metrics.reconnects.fetch_add(1, Ordering::Relaxed);
         }
         self.connected_once = true;
         // Resume is gated on the handshake: if the peer restarted since
@@ -332,6 +342,7 @@ impl Link {
         // restored state (it pulls what it needs via catch-up).
         if self.peer_incarnation.is_some_and(|prev| peer_inc > prev) {
             self.cfg
+                .links
                 .metrics
                 .frames_dropped_stale
                 .fetch_add(self.pending.len() as u64, Ordering::Relaxed);
@@ -357,7 +368,7 @@ impl Link {
         let LinkState::Up { stream } = &self.state else { return };
         while let Some((due, frame)) = self.pending.front() {
             // A frame mid-write must finish regardless of due times; an
-            // unstarted frame waits for its conditioner-stamped due time.
+            // unstarted frame waits for its plan-priced due time.
             if self.cursor == 0 && *due > now {
                 break;
             }
@@ -365,7 +376,7 @@ impl Link {
                 Ok(0) => return self.retire_connection(poller, now),
                 Ok(k) => {
                     self.cursor += k;
-                    self.cfg.metrics.note_sent(k as u64, peer_of_key(self.key));
+                    self.cfg.links.metrics.note_sent(k as u64, self.cfg.peer);
                     if self.cursor == frame.len() {
                         self.pending.pop_front();
                         self.cursor = 0;
@@ -388,7 +399,7 @@ impl Link {
         if self.cursor > 0 {
             // The frame the break interrupted will be rewritten in full.
             self.cursor = 0;
-            self.cfg.metrics.frames_resent.fetch_add(1, Ordering::Relaxed);
+            self.cfg.links.metrics.frames_resent.fetch_add(1, Ordering::Relaxed);
         }
         self.teardown(poller);
         self.backoff_retry(now);
@@ -407,7 +418,7 @@ impl Link {
                 self.armed = None;
                 if self.cursor > 0 {
                     self.cursor = 0;
-                    self.cfg.metrics.frames_resent.fetch_add(1, Ordering::Relaxed);
+                    self.cfg.links.metrics.frames_resent.fetch_add(1, Ordering::Relaxed);
                 }
                 self.blocked = false;
             }
@@ -420,7 +431,7 @@ impl Link {
     /// stampeding the listener in lockstep.
     fn backoff_retry(&mut self, now: Instant) {
         debug_assert!(matches!(self.state, LinkState::Down), "torn down before backoff");
-        let jitter_us = self.rng.random_range(0..=self.backoff.as_micros() as u64 / 2);
+        let jitter_us = self.backoff_rng.random_range(0..=self.backoff.as_micros() as u64 / 2);
         self.next_dial = now + self.backoff + Duration::from_micros(jitter_us);
         self.backoff = (self.backoff * 2).min(BACKOFF_MAX);
     }
@@ -483,10 +494,4 @@ fn stream_read(mut stream: &TcpStream, buf: &mut [u8]) -> ReadStep {
             Err(_) => return ReadStep::Closed,
         }
     }
-}
-
-/// Inverse of the reactor's key layout (`key = 1 + peer.index()`), used to
-/// attribute per-peer byte counters.
-fn peer_of_key(key: usize) -> NodeId {
-    NodeId((key - 1) as u16)
 }

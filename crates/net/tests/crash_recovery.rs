@@ -6,13 +6,16 @@
 //! identical to its peers' — while its live-slot WAL stays constant-size.
 
 use std::fs;
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::path::{Path, PathBuf};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use tetrabft::Params;
 use tetrabft_multishot::{Finalized, MultiShotNode};
-use tetrabft_net::{Cluster, ClusterBuilder, Topology};
+use tetrabft_net::{Cluster, ClusterBuilder, Topology, CLIENT_HELLO_ID};
 use tetrabft_types::{Config, FsyncPolicy, NodeId};
+use tetrabft_wire::frame::encode_frame;
 
 fn temp_base(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("tetrabft-crash-{}-{tag}", std::process::id()));
@@ -167,6 +170,57 @@ fn flapping_restarts_drop_stale_frames_and_still_converge() {
         "frames buffered across a restart must be fenced by the incarnation handshake: {stats:?}"
     );
     assert!(stats.reconnects > 0, "the victim's links must have re-established: {stats:?}");
+    let _ = fs::remove_dir_all(&base);
+}
+
+#[test]
+fn restarted_serving_node_accepts_tcp_clients_again() {
+    let base = temp_base("serve");
+    let cfg = Config::new(4).unwrap();
+    let victim = NodeId(1);
+    // Δ = 200 ms: only liveness matters here, so view changes around the
+    // restart are fine — and a 1.8 s timeout keeps them short.
+    let params = Params::new(200).with_fsync(FsyncPolicy::Always);
+    let ((mut cluster, _submitters), _net) = ClusterBuilder::new(4)
+        .spawn_serving(|id| durable_node(cfg, params, id, &base))
+        .expect("serving cluster spawns");
+    // Let the chain run before the fault.
+    loop {
+        let (_, fin) = cluster.next_output_timeout(Duration::from_secs(60)).expect("finalize");
+        if fin.slot.0 >= 2 {
+            break;
+        }
+    }
+
+    // Restart the victim the way it was spawned: as a serving node.
+    cluster.kill(victim);
+    std::thread::sleep(Duration::from_millis(400));
+    let node = durable_node(cfg, params, victim, &base);
+    cluster.restart_serving(victim, node).expect("victim rebinds its own port");
+
+    // Dial it as a TCP client: 10-byte hello (client id + zero
+    // incarnation), the 8-byte ack, then one framed transaction.
+    let mut client = TcpStream::connect(cluster.topology().addr(victim)).expect("client dials");
+    client.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let mut hello = [0u8; 10];
+    hello[..2].copy_from_slice(&CLIENT_HELLO_ID.to_be_bytes());
+    client.write_all(&hello).expect("hello");
+    let mut ack = [0u8; 8];
+    client.read_exact(&mut ack).expect("the restarted node accepts the client hello");
+    let tx = b"after-restart".to_vec();
+    client.write_all(&encode_frame(&tx).expect("frame")).expect("submit");
+
+    let deadline = Instant::now() + Duration::from_secs(60);
+    loop {
+        let remaining = deadline.saturating_duration_since(Instant::now());
+        let (_, fin) = cluster
+            .next_output_timeout(remaining)
+            .expect("the transaction submitted to the restarted node finalizes");
+        if fin.block.txs.contains(&tx) {
+            break;
+        }
+    }
+    drop(cluster);
     let _ = fs::remove_dir_all(&base);
 }
 

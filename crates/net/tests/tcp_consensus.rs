@@ -5,16 +5,15 @@ use std::time::Duration;
 
 use tetrabft::{Params, TetraNode};
 use tetrabft_multishot::MultiShotNode;
-use tetrabft_net::Cluster;
+use tetrabft_net::ClusterBuilder;
 use tetrabft_types::{Config, Value};
 
 #[test]
 fn four_node_tcp_cluster_decides() {
     let cfg = Config::new(4).unwrap();
-    let mut cluster = Cluster::spawn(4, |id| {
-        TetraNode::new(cfg, Params::new(500), id, Value::from_u64(id.0 as u64 + 1))
-    })
-    .expect("cluster spawns");
+    let (mut cluster, _net) = ClusterBuilder::new(4)
+        .spawn(|id| TetraNode::new(cfg, Params::new(500), id, Value::from_u64(id.0 as u64 + 1)))
+        .expect("cluster spawns");
 
     let mut decisions = Vec::new();
     for _ in 0..4 {
@@ -31,12 +30,13 @@ fn four_node_tcp_cluster_decides() {
 #[test]
 fn multishot_tcp_cluster_finalizes_blocks() {
     let cfg = Config::new(4).unwrap();
-    let mut cluster = Cluster::spawn(4, |id| {
-        let mut node = MultiShotNode::new(cfg, Params::new(500), id);
-        node.submit_tx(format!("tx-from-{id}").into_bytes()).unwrap();
-        node
-    })
-    .expect("cluster spawns");
+    let (mut cluster, _net) = ClusterBuilder::new(4)
+        .spawn(|id| {
+            let mut node = MultiShotNode::new(cfg, Params::new(500), id);
+            node.submit_tx(format!("tx-from-{id}").into_bytes()).unwrap();
+            node
+        })
+        .expect("cluster spawns");
 
     // Collect until every node reports its first three finalized slots.
     let mut per_node: std::collections::HashMap<u16, Vec<(u64, u64)>> = Default::default();
@@ -59,9 +59,9 @@ fn runtime_submissions_reach_the_chain_over_tcp() {
     // running cluster through SubmitHandles (not pre-queued at build time)
     // must land in the finalized chain.
     let cfg = Config::new(4).unwrap();
-    let (mut cluster, submitters) =
-        Cluster::spawn_submitting(4, |id| MultiShotNode::new(cfg, Params::new(300), id))
-            .expect("cluster spawns");
+    let ((mut cluster, submitters), _net) = ClusterBuilder::new(4)
+        .spawn_serving(|id| MultiShotNode::new(cfg, Params::new(300), id))
+        .expect("cluster spawns");
     let tx = b"live-client-tx".to_vec();
     for handle in &submitters {
         handle.submit(tx.clone()).expect("cluster is running");

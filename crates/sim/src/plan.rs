@@ -218,20 +218,6 @@ impl PartitionWindow {
     pub fn contains(&self, at_ms: u64) -> bool {
         (self.start_ms..self.end_ms).contains(&at_ms)
     }
-
-    /// Earliest time at or after `at_ms` at which none of `windows` is
-    /// active — when buffered traffic held by these windows is released.
-    /// Chained or overlapping windows are walked through to the final heal.
-    pub fn release_time(windows: &[PartitionWindow], at_ms: u64) -> u64 {
-        let mut at = at_ms;
-        loop {
-            let Some(end) = windows.iter().filter(|w| w.contains(at)).map(|w| w.end_ms).max()
-            else {
-                return at;
-            };
-            at = end;
-        }
-    }
 }
 
 impl std::fmt::Display for PartitionWindow {
@@ -466,6 +452,7 @@ impl LinkPlan {
 
     /// When a message sent on `from → to` at `at_ms` is released from any
     /// severing partition windows (equal to `at_ms` when unsevered).
+    /// Chained or overlapping windows are walked through to the final heal.
     pub fn release_time(&self, from: NodeId, to: NodeId, at_ms: u64) -> u64 {
         let mut at = at_ms;
         loop {

@@ -300,16 +300,17 @@ fn sharded_replicas_agree_on_state_roots() {
 #[test]
 fn tcp_cluster_replicas_agree_on_state_roots() {
     use std::time::{Duration, Instant};
-    use tetrabft_suite::net::Cluster;
+    use tetrabft_suite::net::ClusterBuilder;
 
     let n = 4;
     let total = 12u64;
     let cfg = Config::new(n).unwrap();
     let genesis = [(AccountId(1), 1_000)];
-    let (mut cluster, submitters) = Cluster::spawn_submitting(n, |id| {
-        MultiShotNode::new(cfg, Params::new(300), id).with_admission(transfer_admission)
-    })
-    .expect("cluster spawns");
+    let ((mut cluster, submitters), _net) = ClusterBuilder::new(n)
+        .spawn_serving(|id| {
+            MultiShotNode::new(cfg, Params::new(300), id).with_admission(transfer_admission)
+        })
+        .expect("cluster spawns");
     for t in 0..total {
         let tx = Transfer { from: AccountId(1), to: AccountId(2), amount: 5, nonce: t };
         // Submit to one node only: exactly-once inclusion without relying
