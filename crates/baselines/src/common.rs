@@ -1,6 +1,6 @@
 //! Shared machinery for the baseline protocols: per-peer phase registers
 //! and the view-change engine (the same constant-storage receive model the
-//! TetraBFT core uses — see DESIGN.md §2).
+//! TetraBFT core uses: only the latest message per peer and kind).
 
 use tetrabft_types::{Config, NodeId, Value, View, VoteInfo};
 

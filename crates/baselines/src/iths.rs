@@ -409,11 +409,11 @@ impl Node for IthsNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tetrabft_sim::{LinkPolicy, SimBuilder, Time};
+    use tetrabft_sim::{SimBuilder, Time};
 
     fn sim_honest(n: usize) -> tetrabft_sim::Sim<IthsMsg, Value> {
         let cfg = Config::new(n).unwrap();
-        SimBuilder::new(n).policy(LinkPolicy::synchronous(1)).build(move |id| {
+        SimBuilder::new(n).build(move |id| {
             IthsNode::new(cfg, Params::new(100), id, Value::from_u64(id.0 as u64 + 1))
         })
     }
@@ -430,14 +430,13 @@ mod tests {
     #[test]
     fn agreement_under_crash_leader() {
         let cfg = Config::new(4).unwrap();
-        let mut sim =
-            SimBuilder::new(4).policy(LinkPolicy::synchronous(1)).build_boxed(move |id| {
-                if id == NodeId(0) {
-                    Box::new(tetrabft_sim::SilentNode::new())
-                } else {
-                    Box::new(IthsNode::new(cfg, Params::new(10), id, Value::from_u64(9)))
-                }
-            });
+        let mut sim = SimBuilder::new(4).build_boxed(move |id| {
+            if id == NodeId(0) {
+                Box::new(tetrabft_sim::SilentNode::new())
+            } else {
+                Box::new(IthsNode::new(cfg, Params::new(10), id, Value::from_u64(9)))
+            }
+        });
         assert!(sim.run_until_outputs(3, 1_000_000));
         let first = sim.outputs()[0].output;
         assert!(sim.outputs().iter().all(|o| o.output == first));
@@ -448,14 +447,13 @@ mod tests {
         // Crash the view-0 leader: decisions land 9 delays after the nodes
         // converge on view 1 (timeout at 9Δ = 90, then 9 more unit hops).
         let cfg = Config::new(4).unwrap();
-        let mut sim =
-            SimBuilder::new(4).policy(LinkPolicy::synchronous(1)).build_boxed(move |id| {
-                if id == NodeId(0) {
-                    Box::new(tetrabft_sim::SilentNode::new())
-                } else {
-                    Box::new(IthsNode::new(cfg, Params::new(10), id, Value::from_u64(9)))
-                }
-            });
+        let mut sim = SimBuilder::new(4).build_boxed(move |id| {
+            if id == NodeId(0) {
+                Box::new(tetrabft_sim::SilentNode::new())
+            } else {
+                Box::new(IthsNode::new(cfg, Params::new(10), id, Value::from_u64(9)))
+            }
+        });
         assert!(sim.run_until_outputs(3, 1_000_000));
         // Timeout fires at 90; vc(91) request(92) suggest(93) propose(94)
         // echo(95) k1(96) k2(97) k3(98) lock(99): decide at t = 90 + 9.

@@ -148,14 +148,13 @@ impl Node for RepeatedTetra {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tetrabft_sim::{LinkPolicy, SimBuilder, Time};
+    use tetrabft_sim::{SimBuilder, Time};
 
     #[test]
     fn one_decision_every_five_delays() {
         let cfg = Config::new(4).unwrap();
-        let mut sim = SimBuilder::new(4)
-            .policy(LinkPolicy::synchronous(1))
-            .build(move |id| RepeatedTetra::new(cfg, Params::new(100), id));
+        let mut sim =
+            SimBuilder::new(4).build(move |id| RepeatedTetra::new(cfg, Params::new(100), id));
         sim.run_until(Time(50));
         let times: Vec<u64> =
             sim.outputs().iter().filter(|o| o.node == NodeId(0)).map(|o| o.time.0).collect();
@@ -169,9 +168,8 @@ mod tests {
     #[test]
     fn instances_decide_their_own_values_in_order() {
         let cfg = Config::new(4).unwrap();
-        let mut sim = SimBuilder::new(4)
-            .policy(LinkPolicy::synchronous(1))
-            .build(move |id| RepeatedTetra::new(cfg, Params::new(100), id));
+        let mut sim =
+            SimBuilder::new(4).build(move |id| RepeatedTetra::new(cfg, Params::new(100), id));
         sim.run_until(Time(26));
         let mine: Vec<(u64, Value)> =
             sim.outputs().iter().filter(|o| o.node == NodeId(1)).map(|o| o.output).collect();

@@ -7,14 +7,13 @@ use std::collections::BTreeMap;
 
 use tetrabft::Params;
 use tetrabft_multishot::{MsMessage, MultiShotNode};
-use tetrabft_sim::{LinkPolicy, SimBuilder, Time, TraceEvent};
+use tetrabft_sim::{SimBuilder, Time, TraceEvent};
 use tetrabft_types::{Config, NodeId};
 
 fn main() {
     let n = 4;
     let cfg = Config::new(n).unwrap();
     let mut sim = SimBuilder::new(n)
-        .policy(LinkPolicy::synchronous(1))
         .record_trace(true)
         .build(|id| MultiShotNode::new(cfg, Params::new(1_000_000), id));
     sim.run_until(Time(12));

@@ -9,9 +9,7 @@ use std::collections::BTreeMap;
 
 use tetrabft::Params;
 use tetrabft_multishot::{Finalized, MsMessage, MultiShotNode};
-use tetrabft_sim::{
-    Action, ActionBuf, Context, Input, LinkPolicy, Node, SimBuilder, Time, TraceEvent,
-};
+use tetrabft_sim::{Action, ActionBuf, Context, Input, Node, SimBuilder, Time, TraceEvent};
 use tetrabft_types::{Config, NodeId};
 
 /// Wraps an honest node but swallows its proposal for one slot — the
@@ -55,23 +53,20 @@ fn main() {
     let cfg = Config::new(n).unwrap();
     let delta = 5; // 9Δ = 45-tick view timeout
     let failed_slot = 3;
-    let mut sim = SimBuilder::new(n)
-        .policy(LinkPolicy::synchronous(1))
-        .record_trace(true)
-        .build_boxed(|id| {
-            let inner = MultiShotNode::new(cfg, Params::new(delta), id);
-            if id
-                == MultiShotNode::leader_of(
-                    &cfg,
-                    tetrabft_types::Slot(failed_slot),
-                    tetrabft_types::View(0),
-                )
-            {
-                Box::new(SuppressSlot { inner, slot: failed_slot })
-            } else {
-                Box::new(inner)
-            }
-        });
+    let mut sim = SimBuilder::new(n).record_trace(true).build_boxed(|id| {
+        let inner = MultiShotNode::new(cfg, Params::new(delta), id);
+        if id
+            == MultiShotNode::leader_of(
+                &cfg,
+                tetrabft_types::Slot(failed_slot),
+                tetrabft_types::View(0),
+            )
+        {
+            Box::new(SuppressSlot { inner, slot: failed_slot })
+        } else {
+            Box::new(inner)
+        }
+    });
     sim.run_until(Time(120));
 
     // Condensed timeline: first occurrence of each (slot, view, kind).

@@ -16,7 +16,7 @@ use tetrabft_ledger::{
     shard_of_account, transfer_admission, AccountId, Ledger, LedgerReplica, Transfer,
 };
 use tetrabft_multishot::{MultiShotNode, ShardSpec, ShardedSim, Transaction};
-use tetrabft_sim::{LinkPolicy, Time};
+use tetrabft_sim::{EdgeSpec, LinkPlan, Time};
 use tetrabft_types::{Config, NodeId};
 
 fn smoke() -> bool {
@@ -295,7 +295,7 @@ fn main() {
             k,
             n,
             0,
-            |_, _| LinkPolicy::synchronous(1),
+            |_, _| LinkPlan::uniform(EdgeSpec::delay(1)),
             |shard, id| {
                 let mut node = MultiShotNode::new(cfg, Params::new(1_000), id)
                     .with_admission(transfer_admission);

@@ -38,7 +38,7 @@ fn main() {
             k,
             n,
             0,
-            |_, _| tetrabft_sim::LinkPolicy::synchronous(1),
+            |_, _| tetrabft_sim::LinkPlan::uniform(tetrabft_sim::EdgeSpec::delay(1)),
             |shard, id| {
                 let mut node = MultiShotNode::new(cfg, params, id);
                 // Every client hammers every node of its shard well past

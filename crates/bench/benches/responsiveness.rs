@@ -11,14 +11,16 @@
 use tetrabft::Params;
 use tetrabft_baselines::{BlogNode, IthsNode};
 use tetrabft_bench::print_table;
-use tetrabft_sim::{LinkPolicy, SilentNode, SimBuilder};
+use tetrabft_sim::{EdgeSpec, LinkPlan, Node, SilentNode, SimBuilder, WireSize};
 use tetrabft_types::{Config, NodeId, Value};
 
-fn recovery_after_timeout<F>(delta: u64, hop: u64, build: F) -> u64
-where
-    F: Fn(NodeId) -> Box<dyn tetrabft_sim::Node<Msg = tetrabft::Message, Output = Value>>,
-{
-    let mut sim = SimBuilder::new(4).policy(LinkPolicy::synchronous(hop)).build_boxed(build);
+fn recovery_after_timeout<M: WireSize + Clone + 'static>(
+    delta: u64,
+    hop: u64,
+    build: impl Fn(NodeId) -> Box<dyn Node<Msg = M, Output = Value>>,
+) -> u64 {
+    let mut sim =
+        SimBuilder::new(4).plan(&LinkPlan::uniform(EdgeSpec::delay(hop))).build_boxed(build);
     assert!(sim.run_until_outputs(3, 50_000_000));
     sim.outputs()[0].time.0 - Params::new(delta).view_timeout()
 }
@@ -41,32 +43,22 @@ fn main() {
         });
 
         // IT-HS (responsive): expect ≈ 9δ.
-        let iths = {
-            let mut sim =
-                SimBuilder::new(n).policy(LinkPolicy::synchronous(hop)).build_boxed(|id| {
-                    if id == NodeId(0) {
-                        Box::new(SilentNode::new())
-                    } else {
-                        Box::new(IthsNode::new(cfg, Params::new(delta), id, Value::from_u64(7)))
-                    }
-                });
-            assert!(sim.run_until_outputs(3, 50_000_000));
-            sim.outputs()[0].time.0 - Params::new(delta).view_timeout()
-        };
+        let iths = recovery_after_timeout(delta, hop, |id| {
+            if id == NodeId(0) {
+                Box::new(SilentNode::new())
+            } else {
+                Box::new(IthsNode::new(cfg, Params::new(delta), id, Value::from_u64(7)))
+            }
+        });
 
         // Blog IT-HS (non-responsive): expect ≈ Δ + 5δ, flat in δ.
-        let blog = {
-            let mut sim =
-                SimBuilder::new(n).policy(LinkPolicy::synchronous(hop)).build_boxed(|id| {
-                    if id == NodeId(0) {
-                        Box::new(SilentNode::new())
-                    } else {
-                        Box::new(BlogNode::new(cfg, Params::new(delta), id, Value::from_u64(7)))
-                    }
-                });
-            assert!(sim.run_until_outputs(3, 50_000_000));
-            sim.outputs()[0].time.0 - Params::new(delta).view_timeout()
-        };
+        let blog = recovery_after_timeout(delta, hop, |id| {
+            if id == NodeId(0) {
+                Box::new(SilentNode::new())
+            } else {
+                Box::new(BlogNode::new(cfg, Params::new(delta), id, Value::from_u64(7)))
+            }
+        });
 
         rows.push(vec![
             hop.to_string(),

@@ -10,7 +10,7 @@ use std::hint::black_box;
 use tetrabft::{Params, TetraNode};
 use tetrabft_bench::{median_time, print_table};
 use tetrabft_multishot::MultiShotNode;
-use tetrabft_sim::{LinkPolicy, SimBuilder, Time};
+use tetrabft_sim::{SimBuilder, Time};
 use tetrabft_types::{Config, Value};
 
 const SAMPLES: usize = 10;
@@ -21,7 +21,6 @@ fn main() {
         let cfg = Config::new(n).unwrap();
         let t = median_time(SAMPLES, || {
             let mut sim = SimBuilder::new(n)
-                .policy(LinkPolicy::synchronous(1))
                 .build(|id| TetraNode::new(cfg, Params::new(1_000_000), id, Value::from_u64(1)));
             assert!(sim.run_until_outputs(n, 10_000_000));
             black_box(sim.outputs().len())
@@ -38,9 +37,8 @@ fn main() {
         let cfg = Config::new(n).unwrap();
         let mut blocks = 0;
         let t = median_time(SAMPLES, || {
-            let mut sim = SimBuilder::new(n)
-                .policy(LinkPolicy::synchronous(1))
-                .build(|id| MultiShotNode::new(cfg, Params::new(1_000_000), id));
+            let mut sim =
+                SimBuilder::new(n).build(|id| MultiShotNode::new(cfg, Params::new(1_000_000), id));
             sim.run_until(Time(104)); // ≈100 finalized blocks per node
             blocks = sim.outputs().len() / n;
         });

@@ -4,8 +4,8 @@
 //!
 //! Latencies are *measured* in message delays (unit-delay network); storage
 //! and communication are measured in bytes. The unbounded-PBFT / SCP /
-//! Li-et-al. rows of the paper's table are not executable (see DESIGN.md)
-//! and are reproduced as annotations.
+//! Li-et-al. rows of the paper's table are not executable (the paper gives
+//! no protocol to run) and are reproduced as annotations.
 
 use tetrabft_bench::{print_table, run_protocol, view_change_delays, Protocol, Scenario};
 

@@ -14,7 +14,7 @@ use tetrabft::Params;
 use tetrabft_baselines::RepeatedTetra;
 use tetrabft_bench::print_table;
 use tetrabft_multishot::{MultiShotNode, ShardedSim};
-use tetrabft_sim::{LinkPolicy, SimBuilder, Time};
+use tetrabft_sim::{EdgeSpec, LinkPlan, SimBuilder, Time};
 use tetrabft_types::{Config, NodeId};
 
 fn smoke() -> bool {
@@ -28,15 +28,13 @@ fn main() {
 
     let mut rows = Vec::new();
     for &h in horizons {
-        let mut pipelined = SimBuilder::new(n)
-            .policy(LinkPolicy::synchronous(1))
-            .build(|id| MultiShotNode::new(cfg, Params::new(1_000_000), id));
+        let mut pipelined =
+            SimBuilder::new(n).build(|id| MultiShotNode::new(cfg, Params::new(1_000_000), id));
         pipelined.run_until(Time(h));
         let blocks = pipelined.outputs().iter().filter(|o| o.node == NodeId(0)).count() as f64;
 
-        let mut repeated = SimBuilder::new(n)
-            .policy(LinkPolicy::synchronous(1))
-            .build(|id| RepeatedTetra::new(cfg, Params::new(1_000_000), id));
+        let mut repeated =
+            SimBuilder::new(n).build(|id| RepeatedTetra::new(cfg, Params::new(1_000_000), id));
         repeated.run_until(Time(h));
         let decisions = repeated.outputs().iter().filter(|o| o.node == NodeId(0)).count() as f64;
 
@@ -82,7 +80,7 @@ fn main() {
             k,
             n,
             0,
-            |_, _| LinkPolicy::synchronous(1),
+            |_, _| LinkPlan::uniform(EdgeSpec::delay(1)),
             move |shard, id| {
                 let mut node = MultiShotNode::new(cfg, params, id);
                 for t in 0..preload {

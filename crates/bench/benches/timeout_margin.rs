@@ -10,7 +10,7 @@
 
 use tetrabft::{Params, TetraNode};
 use tetrabft_bench::print_table;
-use tetrabft_sim::{LinkPolicy, SilentNode, SimBuilder};
+use tetrabft_sim::{EdgeSpec, LinkPlan, SilentNode, SimBuilder};
 use tetrabft_types::{Config, NodeId, Value};
 
 fn main() {
@@ -22,7 +22,7 @@ fn main() {
     for factor in [4u64, 5, 6, 7, 8, 9, 10, 12] {
         let params = Params::with_timeout_factor(delta, factor);
         let mut sim = SimBuilder::new(n)
-            .policy(LinkPolicy::synchronous(delta)) // worst case: δ = Δ
+            .plan(&LinkPlan::uniform(EdgeSpec::delay(delta))) // worst case: δ = Δ
             .build_boxed(move |id| {
                 if id == NodeId(0) {
                     Box::new(SilentNode::new())

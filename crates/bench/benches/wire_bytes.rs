@@ -18,7 +18,7 @@ use std::collections::BTreeMap;
 
 use tetrabft::{Message, Params, SuggestData, TetraNode};
 use tetrabft_bench::print_table;
-use tetrabft_sim::{LinkPolicy, Metrics, SilentNode, SimBuilder, TraceEvent};
+use tetrabft_sim::{Metrics, SilentNode, SimBuilder, TraceEvent};
 use tetrabft_types::{Config, NodeId, Phase, Value, View, VoteInfo};
 use tetrabft_wire::Wire;
 
@@ -44,16 +44,13 @@ struct KindBytes {
 /// non-loopback send.
 fn run_view_change(n: usize) -> (BTreeMap<&'static str, KindBytes>, Metrics) {
     let cfg = Config::new(n).expect("valid n");
-    let mut sim = SimBuilder::new(n)
-        .policy(LinkPolicy::synchronous(1))
-        .record_trace(true)
-        .build_boxed(move |id| {
-            if id == NodeId(0) {
-                Box::new(SilentNode::new())
-            } else {
-                Box::new(TetraNode::new(cfg, Params::new(10), id, Value::from_u64(id.0 as u64 + 1)))
-            }
-        });
+    let mut sim = SimBuilder::new(n).record_trace(true).build_boxed(move |id| {
+        if id == NodeId(0) {
+            Box::new(SilentNode::new())
+        } else {
+            Box::new(TetraNode::new(cfg, Params::new(10), id, Value::from_u64(id.0 as u64 + 1)))
+        }
+    });
     assert!(sim.run_until_outputs(n - 1, 50_000_000), "view change must decide at n={n}");
 
     let mut by_kind: BTreeMap<&'static str, KindBytes> = BTreeMap::new();

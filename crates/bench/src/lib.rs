@@ -3,7 +3,7 @@
 //! Every `benches/*.rs` target regenerates one artifact of the paper
 //! (Table 1, Fig. 2, Fig. 3, the Section 5 verification, or a quantitative
 //! claim from the text); this library holds the scenario runners they
-//! share. See `EXPERIMENTS.md` for the paper-vs-measured record.
+//! share. Each bench asserts its paper-vs-measured figures as it runs.
 
 // `deny`, not `forbid`: the allocation-counting module implements
 // `GlobalAlloc`, which requires `unsafe` and carries a scoped allow.
@@ -19,7 +19,7 @@ use std::time::{Duration, Instant};
 
 use tetrabft::{Params, TetraNode};
 use tetrabft_baselines::{BlogNode, IthsNode, PbftNode};
-use tetrabft_sim::{LinkPolicy, SilentNode, Sim, SimBuilder, Time, WireSize};
+use tetrabft_sim::{EdgeSpec, LinkPlan, SilentNode, Sim, SimBuilder, Time, WireSize};
 use tetrabft_types::{Config, NodeId, Value};
 
 /// Latency + communication measurements for one protocol scenario.
@@ -115,11 +115,11 @@ pub fn run_protocol(protocol: Protocol, scenario: Scenario, n: usize, hop: u64) 
         Scenario::GoodCase => (Params::new(1_000_000), false),
         Scenario::ViewChange { delta } => (Params::new(delta), true),
     };
-    let policy = LinkPolicy::synchronous(hop);
+    let plan = LinkPlan::uniform(EdgeSpec::delay(hop));
     let outputs = if crash_leader { n - 1 } else { n };
     match protocol {
         Protocol::Tetra => {
-            let sim = SimBuilder::new(n).policy(policy).build_boxed(move |id| {
+            let sim = SimBuilder::new(n).plan(&plan).build_boxed(move |id| {
                 if crash_leader && id == NodeId(0) {
                     Box::new(SilentNode::new())
                 } else {
@@ -129,7 +129,7 @@ pub fn run_protocol(protocol: Protocol, scenario: Scenario, n: usize, hop: u64) 
             measure(sim, outputs)
         }
         Protocol::Iths => {
-            let sim = SimBuilder::new(n).policy(policy).build_boxed(move |id| {
+            let sim = SimBuilder::new(n).plan(&plan).build_boxed(move |id| {
                 if crash_leader && id == NodeId(0) {
                     Box::new(SilentNode::new())
                 } else {
@@ -139,7 +139,7 @@ pub fn run_protocol(protocol: Protocol, scenario: Scenario, n: usize, hop: u64) 
             measure(sim, outputs)
         }
         Protocol::IthsBlog => {
-            let sim = SimBuilder::new(n).policy(policy).build_boxed(move |id| {
+            let sim = SimBuilder::new(n).plan(&plan).build_boxed(move |id| {
                 if crash_leader && id == NodeId(0) {
                     Box::new(SilentNode::new())
                 } else {
@@ -149,7 +149,7 @@ pub fn run_protocol(protocol: Protocol, scenario: Scenario, n: usize, hop: u64) 
             measure(sim, outputs)
         }
         Protocol::Pbft => {
-            let sim = SimBuilder::new(n).policy(policy).build_boxed(move |id| {
+            let sim = SimBuilder::new(n).plan(&plan).build_boxed(move |id| {
                 if crash_leader && id == NodeId(0) {
                     Box::new(SilentNode::new())
                 } else {
@@ -218,10 +218,9 @@ impl tetrabft_sim::Node for StalledCommitPbft {
 pub fn pbft_loaded_view_change(n: usize, delta: u64) -> Measurement {
     let cfg = Config::new(n).expect("valid n");
     let params = Params::new(delta);
-    let sim =
-        SimBuilder::new(n).policy(LinkPolicy::synchronous(1)).build(move |id| StalledCommitPbft {
-            inner: PbftNode::new(cfg, params, id, Value::from_u64(u64::from(id.0) + 1)),
-        });
+    let sim = SimBuilder::new(n).build(move |id| StalledCommitPbft {
+        inner: PbftNode::new(cfg, params, id, Value::from_u64(u64::from(id.0) + 1)),
+    });
     measure(sim, n)
 }
 

@@ -29,18 +29,18 @@
 //!
 //! # Examples
 //!
-//! Four nodes, one of them silent (crashed), still decide — and under a
-//! unit-delay network the first decision lands at 5 message delays:
+//! Four nodes decide, and under the simulator's default plan (one tick per
+//! hop, `LinkPlan::uniform(EdgeSpec::delay(1))`) the first decision lands
+//! at 5 message delays:
 //!
 //! ```
 //! use tetrabft::{Params, TetraNode};
-//! use tetrabft_sim::{LinkPolicy, SimBuilder};
+//! use tetrabft_sim::SimBuilder;
 //! use tetrabft_types::{Config, Value};
 //!
 //! let cfg = Config::new(4)?;
 //! let params = Params::new(100); // Δ = 100 ticks
 //! let mut sim = SimBuilder::new(4)
-//!     .policy(LinkPolicy::synchronous(1))
 //!     .build(|id| TetraNode::new(cfg, params, id, Value::from_u64(7)));
 //! assert!(sim.run_until_outputs(4, 100_000));
 //! assert_eq!(sim.outputs()[0].time.0, 5); // the headline number

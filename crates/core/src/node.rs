@@ -294,14 +294,14 @@ impl Node for TetraNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tetrabft_sim::{LinkPolicy, SimBuilder, Time};
+    use tetrabft_sim::{Cut, EdgeSpec, LinkPlan, PartitionWindow, SimBuilder, Time};
 
     fn cfg(n: usize) -> Config {
         Config::new(n).unwrap()
     }
 
     fn honest_sim(n: usize, delta: u64) -> tetrabft_sim::Sim<Message, Value> {
-        SimBuilder::new(n).policy(LinkPolicy::synchronous(1)).build(move |id| {
+        SimBuilder::new(n).build(move |id| {
             TetraNode::new(cfg(n), Params::new(delta), id, Value::from_u64(id.0 as u64 + 1))
         })
     }
@@ -331,7 +331,6 @@ mod tests {
     fn validity_unanimous_input_is_decided() {
         let n = 4;
         let mut sim = SimBuilder::new(n)
-            .policy(LinkPolicy::synchronous(1))
             .build(move |id| TetraNode::new(cfg(n), Params::new(100), id, Value::from_u64(42)));
         assert!(sim.run_until_outputs(n, 1_000_000));
         assert!(sim.outputs().iter().all(|o| o.output == Value::from_u64(42)));
@@ -347,20 +346,19 @@ mod tests {
     #[test]
     fn crashed_leader_forces_view_change_then_decision() {
         let n = 4;
-        let mut sim =
-            SimBuilder::new(n).policy(LinkPolicy::synchronous(1)).build_boxed(move |id| {
-                if id == NodeId(0) {
-                    // Leader of view 0 is down.
-                    Box::new(tetrabft_sim::SilentNode::new())
-                } else {
-                    Box::new(TetraNode::new(
-                        cfg(n),
-                        Params::new(10),
-                        id,
-                        Value::from_u64(id.0 as u64 + 1),
-                    ))
-                }
-            });
+        let mut sim = SimBuilder::new(n).build_boxed(move |id| {
+            if id == NodeId(0) {
+                // Leader of view 0 is down.
+                Box::new(tetrabft_sim::SilentNode::new())
+            } else {
+                Box::new(TetraNode::new(
+                    cfg(n),
+                    Params::new(10),
+                    id,
+                    Value::from_u64(id.0 as u64 + 1),
+                ))
+            }
+        });
         assert!(sim.run_until_outputs(3, 1_000_000), "must decide in view 1");
         // Decision happens after the 9Δ timeout.
         assert!(sim.outputs()[0].time > Time(90));
@@ -373,14 +371,13 @@ mod tests {
     #[test]
     fn crashed_follower_does_not_delay_good_case() {
         let n = 4;
-        let mut sim =
-            SimBuilder::new(n).policy(LinkPolicy::synchronous(1)).build_boxed(move |id| {
-                if id == NodeId(3) {
-                    Box::new(tetrabft_sim::SilentNode::new())
-                } else {
-                    Box::new(TetraNode::new(cfg(n), Params::new(100), id, Value::from_u64(7)))
-                }
-            });
+        let mut sim = SimBuilder::new(n).build_boxed(move |id| {
+            if id == NodeId(3) {
+                Box::new(tetrabft_sim::SilentNode::new())
+            } else {
+                Box::new(TetraNode::new(cfg(n), Params::new(100), id, Value::from_u64(7)))
+            }
+        });
         assert!(sim.run_until_outputs(3, 1_000_000));
         assert!(sim.outputs().iter().all(|o| o.time == Time(5)));
     }
@@ -390,10 +387,11 @@ mod tests {
         // Messages are lost until GST=500; with Δ=10 and δ=1 the system
         // recovers via view changes and decides shortly after GST.
         let n = 4;
-        let mut sim =
-            SimBuilder::new(n).policy(LinkPolicy::partial_synchrony(Time(500), 10, 1)).build(
-                move |id| TetraNode::new(cfg(n), Params::new(10), id, Value::from_u64(id.0 as u64)),
-            );
+        let gst = PartitionWindow::isolate(0, 500, (0..4).map(NodeId)).with_cut(Cut::Outbound);
+        let plan = LinkPlan::uniform(EdgeSpec::delay(1)).partition(gst.lossy());
+        let mut sim = SimBuilder::new(n).plan(&plan).build(move |id| {
+            TetraNode::new(cfg(n), Params::new(10), id, Value::from_u64(id.0 as u64))
+        });
         assert!(sim.run_until_outputs(n, 5_000_000), "must decide after GST");
         let first = sim.outputs()[0].output;
         assert!(sim.outputs().iter().all(|o| o.output == first));
@@ -404,8 +402,10 @@ mod tests {
     fn jittered_network_preserves_agreement() {
         for seed in 0..10 {
             let n = 4;
-            let mut sim =
-                SimBuilder::new(n).seed(seed).policy(LinkPolicy::jittered(1, 9)).build(move |id| {
+            let mut sim = SimBuilder::new(n)
+                .seed(seed)
+                .plan(&LinkPlan::uniform(EdgeSpec::delay(1).with_jitter(8)))
+                .build(move |id| {
                     TetraNode::new(cfg(n), Params::new(20), id, Value::from_u64(id.0 as u64))
                 });
             assert!(sim.run_until_outputs(n, 5_000_000), "seed {seed}");
@@ -421,10 +421,11 @@ mod tests {
     fn persistent_storage_is_constant() {
         let node = TetraNode::new(cfg(4), Params::new(10), NodeId(0), Value::from_u64(0));
         let before = node.persistent_bytes();
-        let mut sim =
-            SimBuilder::new(4).policy(LinkPolicy::partial_synchrony(Time(300), 10, 1)).build(
-                move |id| TetraNode::new(cfg(4), Params::new(10), id, Value::from_u64(id.0 as u64)),
-            );
+        let gst = PartitionWindow::isolate(0, 300, (0..4).map(NodeId)).with_cut(Cut::Outbound);
+        let plan = LinkPlan::uniform(EdgeSpec::delay(1)).partition(gst.lossy());
+        let mut sim = SimBuilder::new(4).plan(&plan).build(move |id| {
+            TetraNode::new(cfg(4), Params::new(10), id, Value::from_u64(id.0 as u64))
+        });
         sim.run_until_outputs(4, 5_000_000);
         // Storage never grew despite many views having executed.
         // (Checked structurally: persistent_bytes is view-independent.)

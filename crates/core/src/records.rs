@@ -1,5 +1,5 @@
 //! Per-peer receive registers — the constant-storage realization of
-//! "nodes keep checking … messages" (DESIGN.md §2).
+//! the paper's "nodes keep checking … messages".
 //!
 //! For each peer the node stores only the *latest* message of each kind
 //! (one slot per vote phase, one for the proposal, one each for
@@ -346,8 +346,10 @@ impl Registers {
         );
     }
 
-    /// Number of peers whose highest view-change is `≥ view` (see DESIGN.md
-    /// §2 for why `≥` is the right constant-storage counting rule).
+    /// Number of peers whose highest view-change is `≥ view`. Only each
+    /// peer's highest view-change is stored, and a peer that asked for a
+    /// later view has given up on every earlier one, so `≥` is the
+    /// constant-storage counting rule.
     pub fn view_change_support(&self, view: View) -> usize {
         self.peers.iter().filter(|p| p.view_change.is_some_and(|v| v >= view)).count()
     }

@@ -14,7 +14,7 @@
 //! benchmarkable (the `rules_scaling` bench confirms the paper's
 //! `O(v · m · n)` complexity claim).
 //!
-//! One deliberate deviation from the pseudocode, recorded in DESIGN.md §6:
+//! One deliberate deviation from the pseudocode:
 //! Algorithm 4's skip heuristic (line 19) counts a suggest toward view `v'`
 //! when `vote2.view ≥ v'` **or** `prev_vote2.view ≥ v'`. The paper's
 //! pseudocode buckets a suggest carrying both fields only under

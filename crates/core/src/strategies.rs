@@ -213,7 +213,7 @@ impl Node for StaleReplayer {
 mod tests {
     use super::*;
     use crate::{Params, TetraNode};
-    use tetrabft_sim::{LinkPolicy, SimBuilder};
+    use tetrabft_sim::{EdgeSpec, LinkPlan, SimBuilder};
     use tetrabft_types::NodeId;
 
     fn cfg(n: usize) -> Config {
@@ -227,7 +227,7 @@ mod tests {
             let n = 4;
             let mut sim = SimBuilder::new(n)
                 .seed(seed)
-                .policy(LinkPolicy::jittered(1, 4))
+                .plan(&LinkPlan::uniform(EdgeSpec::delay(1).with_jitter(3)))
                 .build_boxed(|id| {
                     if id == NodeId(0) {
                         byz(cfg(4))

@@ -11,7 +11,7 @@ use tetrabft_wire::{Reader, Wire, WireError, Writer};
 /// Deliberately **not** cryptographic — TetraBFT is an unauthenticated
 /// protocol and never relies on unforgeability; the hash pointer is only a
 /// compact way to name a parent block (collision-resistance here is a
-/// modelling convenience, per DESIGN.md §6).
+/// modelling convenience, not a safety assumption).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct BlockHash(pub u64);
 

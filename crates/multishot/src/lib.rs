@@ -20,17 +20,17 @@
 //!
 //! # Examples
 //!
-//! A four-node chain finalizing its first blocks:
+//! A four-node chain finalizing its first blocks under the simulator's
+//! default plan, one tick per hop:
 //!
 //! ```
 //! use tetrabft::Params;
 //! use tetrabft_multishot::MultiShotNode;
-//! use tetrabft_sim::{LinkPolicy, SimBuilder};
+//! use tetrabft_sim::SimBuilder;
 //! use tetrabft_types::Config;
 //!
 //! let cfg = Config::new(4)?;
 //! let mut sim = SimBuilder::new(4)
-//!     .policy(LinkPolicy::synchronous(1))
 //!     .build(|id| MultiShotNode::new(cfg, Params::new(100), id));
 //! sim.run_until(tetrabft_sim::Time(20));
 //! // The first finalization lands at 5 message delays, then one per delay.

@@ -655,7 +655,7 @@ impl MultiShotNode {
                 }
                 Some(v) => {
                     // Re-propose the certified block; without its content we
-                    // must wait (block dissemination is assumed, DESIGN.md §6).
+                    // must wait (the paper assumes block dissemination).
                     let hash = BlockHash::from_value(v);
                     match self.store.get(hash) {
                         Some(b) if b.slot == slot => b.clone(),
@@ -991,7 +991,7 @@ impl Submitter for MultiShotNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tetrabft_sim::{LinkPolicy, SimBuilder, Time};
+    use tetrabft_sim::{Cut, EdgeSpec, LinkPlan, PartitionWindow, SimBuilder, Time};
 
     fn cfg(n: usize) -> Config {
         Config::new(n).unwrap()
@@ -1029,9 +1029,8 @@ mod tests {
     #[test]
     fn good_case_one_block_per_delay() {
         let n = 4;
-        let mut sim = SimBuilder::new(n)
-            .policy(LinkPolicy::synchronous(1))
-            .build(|id| MultiShotNode::new(cfg(4), Params::new(100), id));
+        let mut sim =
+            SimBuilder::new(n).build(|id| MultiShotNode::new(cfg(4), Params::new(100), id));
         sim.run_until(Time(30));
         let chain = chain_of(&sim, NodeId(0));
         assert!(chain.len() >= 24, "expected ~1 block/delay, got {}", chain.len());
@@ -1050,7 +1049,6 @@ mod tests {
         // Message delay 1, pace 10: an idle paced chain advances roughly
         // one slot per pause instead of one per delay.
         let mut sim = SimBuilder::new(n)
-            .policy(LinkPolicy::synchronous(1))
             .build(|id| MultiShotNode::new(cfg(4), Params::new(100).with_idle_pacing(10), id));
         sim.run_until(Time(300));
         let chain = chain_of(&sim, NodeId(0));
@@ -1065,9 +1063,8 @@ mod tests {
 
     #[test]
     fn active_state_stays_bounded() {
-        let mut sim = SimBuilder::new(4)
-            .policy(LinkPolicy::synchronous(1))
-            .build(|id| MultiShotNode::new(cfg(4), Params::new(100), id));
+        let mut sim =
+            SimBuilder::new(4).build(|id| MultiShotNode::new(cfg(4), Params::new(100), id));
         sim.run_until(Time(200));
         // Can't reach into nodes generically; bound check via window const:
         // instances ≤ SLOT_WINDOW by construction. Assert the chain grew a
@@ -1083,7 +1080,7 @@ mod tests {
         // Node 3 is silent; it leads slots 3, 7, 11, … (view 0). The chain
         // must stall there, view-change, and continue.
         let n = 4;
-        let mut sim = SimBuilder::new(n).policy(LinkPolicy::synchronous(1)).build_boxed(|id| {
+        let mut sim = SimBuilder::new(n).build_boxed(|id| {
             if id == NodeId(3) {
                 Box::new(tetrabft_sim::SilentNode::new())
             } else {
@@ -1106,7 +1103,7 @@ mod tests {
             let n = 4;
             let mut sim = SimBuilder::new(n)
                 .seed(seed)
-                .policy(LinkPolicy::jittered(1, 6))
+                .plan(&LinkPlan::uniform(EdgeSpec::delay(1).with_jitter(5)))
                 .build(|id| MultiShotNode::new(cfg(4), Params::new(30), id));
             sim.run_until(Time(600));
             assert_consistency(&sim, n);
@@ -1122,7 +1119,7 @@ mod tests {
         let n = 4;
         let tx = b"pay alice 5".to_vec();
         let tx2 = tx.clone();
-        let mut sim = SimBuilder::new(n).policy(LinkPolicy::synchronous(1)).build(move |id| {
+        let mut sim = SimBuilder::new(n).build(move |id| {
             let mut node = MultiShotNode::new(cfg(4), Params::new(100), id);
             node.submit_tx(tx2.clone()).unwrap();
             node
@@ -1154,7 +1151,7 @@ mod tests {
     fn leader_batches_respect_max_block_txs() {
         let n = 4;
         let params = Params::new(100).with_max_block_txs(3);
-        let mut sim = SimBuilder::new(n).policy(LinkPolicy::synchronous(1)).build(move |id| {
+        let mut sim = SimBuilder::new(n).build(move |id| {
             let mut node = MultiShotNode::new(cfg(4), params, id);
             for k in 0..20u8 {
                 node.submit_tx(vec![id.0 as u8 + 1, k + 1]).unwrap();
@@ -1172,8 +1169,10 @@ mod tests {
     #[test]
     fn pre_gst_chaos_then_progress() {
         let n = 4;
+        let gst = PartitionWindow::isolate(0, 200, (0..4).map(NodeId)).with_cut(Cut::Outbound);
+        let plan = LinkPlan::uniform(EdgeSpec::delay(1)).partition(gst.lossy());
         let mut sim = SimBuilder::new(n)
-            .policy(LinkPolicy::partial_synchrony(Time(200), 10, 1))
+            .plan(&plan)
             .build(|id| MultiShotNode::new(cfg(4), Params::new(10), id));
         sim.run_until(Time(1500));
         assert_consistency(&sim, n);

@@ -12,7 +12,7 @@
 
 use std::collections::BTreeMap;
 
-use tetrabft_sim::{LinkPolicy, Sim, SimBuilder, Time};
+use tetrabft_sim::{LinkPlan, Sim, SimBuilder, Time};
 use tetrabft_types::{NodeId, Slot};
 
 use crate::msg::MsMessage;
@@ -172,7 +172,7 @@ impl Iterator for FinalizedMerge {
 /// Each shard is a full [`Sim`] of `n` [`MultiShotNode`]s; the sharded
 /// runner always steps the shard with the earliest pending event (ties
 /// break to the lowest shard index), so a run remains a pure function of
-/// `(protocol, policy, seed)` exactly like a single simulation. This is
+/// `(protocol, plan, seed)` exactly like a single simulation. This is
 /// the simulator counterpart of the thread-per-shard
 /// `ShardedCluster` in `tetrabft-net`.
 ///
@@ -181,11 +181,12 @@ impl Iterator for FinalizedMerge {
 /// ```
 /// use tetrabft::Params;
 /// use tetrabft_multishot::ShardedSim;
-/// use tetrabft_sim::{LinkPolicy, Time};
+/// use tetrabft_sim::{EdgeSpec, LinkPlan, Time};
 /// use tetrabft_types::{Config, NodeId};
 ///
 /// let cfg = Config::new(4).unwrap();
-/// let mut sharded = ShardedSim::new(2, 4, 0, |_, _| LinkPolicy::synchronous(1), |_, id| {
+/// let unit = |_, _| LinkPlan::uniform(EdgeSpec::delay(1));
+/// let mut sharded = ShardedSim::new(2, 4, 0, unit, |_, id| {
 ///     tetrabft_multishot::MultiShotNode::new(cfg, Params::new(100), id)
 /// });
 /// sharded.run_until(Time(20));
@@ -201,16 +202,16 @@ pub struct ShardedSim {
 impl ShardedSim {
     /// Builds `k` shards of `n` nodes each from a base `seed`. Shard `j`
     /// runs on seed `seed + j` — distinct per shard (identical shards
-    /// would otherwise march in lockstep under jittered policies) yet a
+    /// would otherwise march in lockstep under jittered plans) yet a
     /// pure function of the base, so the whole sharded run remains a pure
-    /// function of `(protocol, policy, seed)`. `policy` and `make`
-    /// receive the shard index (`policy` also the shard's derived seed,
-    /// `make` the node id) so shards can be populated independently.
+    /// function of `(protocol, plan, seed)`. `plan` and `make` receive
+    /// the shard index (`plan` also the shard's derived seed, `make` the
+    /// node id) so shards can be populated independently.
     pub fn new(
         k: usize,
         n: usize,
         seed: u64,
-        mut policy: impl FnMut(usize, u64) -> LinkPolicy,
+        mut plan: impl FnMut(usize, u64) -> LinkPlan,
         mut make: impl FnMut(usize, NodeId) -> MultiShotNode,
     ) -> Self {
         let spec = ShardSpec::new(k);
@@ -219,7 +220,7 @@ impl ShardedSim {
                 let shard_seed = seed.wrapping_add(j as u64);
                 SimBuilder::new(n)
                     .seed(shard_seed)
-                    .policy(policy(j, shard_seed))
+                    .plan(&plan(j, shard_seed))
                     .build(|id| make(j, id))
             })
             .collect();
@@ -276,6 +277,7 @@ impl ShardedSim {
 mod tests {
     use super::*;
     use tetrabft::Params;
+    use tetrabft_sim::EdgeSpec;
     use tetrabft_types::Config;
 
     fn sharded(k: usize) -> ShardedSim {
@@ -284,7 +286,7 @@ mod tests {
             k,
             4,
             0,
-            |_, _| LinkPolicy::synchronous(1),
+            |_, _| LinkPlan::uniform(EdgeSpec::delay(1)),
             move |_, id| MultiShotNode::new(cfg, Params::new(1_000), id),
         )
     }

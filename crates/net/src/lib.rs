@@ -82,4 +82,4 @@ pub use topology::{NetError, Topology, TopologyError};
 pub use tetrabft_engine::FrameRequest;
 // The scenario language is shared with the simulator; re-export it so TCP
 // embedders keep a single import path.
-pub use tetrabft_sim::{EdgeSpec, LinkPlan, PartitionWindow};
+pub use tetrabft_sim::{Cut, EdgeSpec, LinkPlan, PartitionWindow};

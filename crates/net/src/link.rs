@@ -97,11 +97,11 @@ pub struct NetStats {
     /// Frames rewritten because a connection broke before their flush was
     /// confirmed (delivery across reconnects is at-least-once).
     pub frames_resent: u64,
-    /// Frames dropped by the link policy's loss rate.
+    /// Frames dropped by the link plan: its loss rate or a lossy window.
     pub frames_dropped: u64,
     /// Frames shed because a link's bounded resend buffer overflowed (a
     /// slow, down, or severed link outlasting 4096 queued frames); a shed
-    /// frame is lost like a policy drop and recovered via view change.
+    /// frame is lost like a plan drop and recovered via view change.
     pub frames_shed: u64,
     /// Buffered frames discarded because the handshake showed the peer
     /// restarted (its incarnation counter advanced): pre-crash frames
@@ -283,7 +283,7 @@ impl LinkSetup {
 mod tests {
     use super::*;
     use rand::Rng;
-    use tetrabft_sim::{EdgeSpec, PartitionWindow};
+    use tetrabft_sim::{Cut, EdgeSpec, PartitionWindow};
 
     /// What a supervised link holds for edge `from → to`: the cluster
     /// setup, the edge's route stream, and its FIFO watermark.
@@ -364,6 +364,26 @@ mod tests {
         ));
         let setup = LinkSetup::new(plan, 2, 0);
         assert!(setup.severed_until(NodeId(0), NodeId(1), setup.epoch).is_none());
+    }
+
+    #[test]
+    fn lossy_windows_drop_frames_without_severing_the_link() {
+        let lost = PartitionWindow::isolate(0, 500, [NodeId(0)]).lossy();
+        let mut e = edge(LinkPlan::uniform(EdgeSpec::delay(5)).partition(lost), 0);
+        let inside = e.epoch() + Duration::from_millis(100);
+        assert_eq!(e.admit(inside), None, "cut traffic is lost, not held");
+        assert!(e.setup.severed_until(NodeId(0), NodeId(1), inside).is_none());
+        let after = e.epoch() + Duration::from_millis(500);
+        assert_eq!(e.admit(after), Some(after + Duration::from_millis(5)));
+    }
+
+    #[test]
+    fn inbound_windows_sever_only_the_inbound_direction() {
+        let deaf = PartitionWindow::isolate(0, 50, [NodeId(1)]).with_cut(Cut::Inbound);
+        let setup = LinkSetup::new(LinkPlan::uniform(EdgeSpec::IDEAL).partition(deaf), 2, 0);
+        let heal = setup.severed_until(NodeId(0), NodeId(1), setup.epoch).expect("into node 1");
+        assert_eq!(heal.duration_since(setup.epoch), Duration::from_millis(50));
+        assert!(setup.severed_until(NodeId(1), NodeId(0), setup.epoch).is_none());
     }
 
     #[test]

@@ -15,20 +15,25 @@
 //! * Byzantine nodes that may send arbitrary messages to arbitrary subsets
 //!   of nodes (equivocation included).
 //!
-//! Protocols are plugged in as deterministic [`Node`] state machines, so a
-//! simulation run is a pure function of `(protocol, policy, seed)` — every
-//! experiment in `EXPERIMENTS.md` is exactly reproducible.
+//! Protocols are plugged in as deterministic [`Node`] state machines and
+//! the network is a declarative [`LinkPlan`] (per-edge delay, jitter and
+//! loss, plus [`PartitionWindow`]s that hold or lose the traffic they cut),
+//! so a simulation run is a pure function of `(protocol, plan, seed)` and
+//! every bench and test run is exactly reproducible. Partial synchrony is a
+//! window cutting every edge until GST: a lossy one for the paper's
+//! pre-GST loss, a holding one for pure delay.
 //!
-//! Latency accounting: under [`LinkPolicy::synchronous`]`(1)` every network
-//! hop costs one tick, so a decision at tick `k` means the protocol used `k`
-//! *message delays* — the unit Table 1 of the paper is expressed in.
+//! Latency accounting: under the default plan,
+//! `LinkPlan::uniform(EdgeSpec::delay(1))`, every network hop costs one
+//! tick, so a decision at tick `k` means the protocol used `k` *message
+//! delays* — the unit Table 1 of the paper is expressed in.
 //!
 //! # Examples
 //!
 //! A two-node ping/pong echo, measured in message delays:
 //!
 //! ```
-//! use tetrabft_sim::{Context, Input, LinkPolicy, Node, SimBuilder, WireSize};
+//! use tetrabft_sim::{Context, Input, Node, SimBuilder, WireSize};
 //! use tetrabft_types::NodeId;
 //!
 //! #[derive(Clone)]
@@ -54,9 +59,7 @@
 //!     }
 //! }
 //!
-//! let mut sim = SimBuilder::new(2)
-//!     .policy(LinkPolicy::synchronous(1))
-//!     .build(|_id| Echo);
+//! let mut sim = SimBuilder::new(2).build(|_id| Echo); // one tick per hop
 //! sim.run_until_quiet(1_000);
 //! assert_eq!(sim.outputs().len(), 1);
 //! assert_eq!(sim.outputs()[0].time.0, 5); // five one-delay hops
@@ -68,7 +71,6 @@
 mod actors;
 mod metrics;
 mod plan;
-mod policy;
 mod queue;
 mod runner;
 mod trace;
@@ -78,8 +80,7 @@ pub use actors::{
     DEFAULT_BYZ_BUDGET,
 };
 pub use metrics::{KindMetrics, Metrics, NodeMetrics};
-pub use plan::{EdgeSpec, LinkPlan, PartitionWindow, PlanParseError};
-pub use policy::{LinkPolicy, Route, RouteEnv};
+pub use plan::{Cut, EdgeSpec, LinkPlan, PartitionWindow, PlanParseError};
 pub use runner::{OutputRecord, Sim, SimBuilder};
 // The node abstraction and the engine loop live in `tetrabft-engine`; the
 // simulator re-exports them so protocol crates keep a single import path.

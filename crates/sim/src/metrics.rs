@@ -39,7 +39,8 @@ pub struct Metrics {
     /// [`wire_kind`](tetrabft_engine::WireSize::wire_kind) — the per-phase
     /// view the `wire_bytes` bench reports (loopback excluded).
     by_kind: BTreeMap<&'static str, KindMetrics>,
-    /// Messages dropped by the link policy (pre-GST loss).
+    /// Messages dropped by the link plan: sent into a lossy partition window
+    /// (pre-GST loss) or lost to an edge's drop rate.
     pub msgs_dropped: u64,
     /// Total input events processed by all nodes.
     pub events_processed: u64,

@@ -3,16 +3,22 @@
 //!
 //! A [`LinkPlan`] describes a network scenario — per-edge one-way delay,
 //! jitter, drop probability, and scripted partition windows — without
-//! reference to any runtime. The simulator consumes it through
-//! [`LinkPlan::policy`] (virtual-time ticks are milliseconds), the TCP
-//! layer (`tetrabft-net`) applies the very same plan in its send path with
-//! wall-clock milliseconds, so one scenario drives both runtimes and their
-//! results can be compared directly.
+//! reference to any runtime. It is the simulator's only network model
+//! (virtual-time ticks are milliseconds, every send priced by
+//! [`LinkPlan::route_at`]), and the TCP layer (`tetrabft-net`) applies the
+//! very same plan in its send path with wall-clock milliseconds, so one
+//! scenario drives both runtimes and their results can be compared
+//! directly.
 //!
-//! Partition semantics match what a supervised TCP link does: frames sent
-//! while an edge is severed are *buffered* and released when the window
-//! ends (the link reconnects and flushes), not silently lost. Loss is
-//! modeled separately by the per-edge drop probability.
+//! A partition window either *holds* the traffic it cuts — frames are
+//! buffered and released when the window ends, as a supervised TCP link
+//! reconnects and flushes — or *loses* it, the pre-GST loss of the paper's
+//! partial-synchrony model. Random loss is modeled separately by the
+//! per-edge drop probability.
+//!
+//! Times are `u64` milliseconds and the arithmetic saturates: a window or
+//! delay reaching `u64::MAX` means "not within the run", never a wrap to
+//! an earlier time.
 
 use std::collections::HashMap;
 use std::str::FromStr;
@@ -20,10 +26,7 @@ use std::str::FromStr;
 use rand::rngs::StdRng;
 use rand::Rng;
 
-use tetrabft_engine::Time;
 use tetrabft_types::NodeId;
-
-use crate::policy::{LinkPolicy, Route};
 
 /// Conditioning applied to one directed edge: a base one-way delay, a
 /// uniform jitter on top, and an independent drop probability per message.
@@ -69,12 +72,12 @@ impl EdgeSpec {
             return None;
         }
         let jitter = if self.jitter_ms > 0 { rng.random_range(0..=self.jitter_ms) } else { 0 };
-        Some(self.delay_ms + jitter)
+        Some(self.delay_ms.saturating_add(jitter))
     }
 
     /// Worst-case one-way delay (base + full jitter).
     pub fn max_delay_ms(&self) -> u64 {
-        self.delay_ms + self.jitter_ms
+        self.delay_ms.saturating_add(self.jitter_ms)
     }
 }
 
@@ -179,12 +182,43 @@ impl FromStr for EdgeSpec {
     }
 }
 
-/// A scripted partition: during `start_ms..end_ms` every edge crossing the
-/// boundary between `group` and the rest of the cluster is severed.
+/// Which directed edges a [`PartitionWindow`] cuts, relative to its
+/// group.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Cut {
+    /// Edges with exactly one end in the group, both directions: the
+    /// group is isolated from the rest of the cluster.
+    Across,
+    /// Every edge sent by a group member (to anyone): the group is mute.
+    /// With every node in the group this cuts the whole network.
+    Outbound,
+    /// Every edge received by a group member (from anyone): the group is
+    /// deaf.
+    Inbound,
+}
+
+/// A scripted partition: during `start_ms..end_ms` the edges [`Cut`]
+/// selects relative to `group` are severed.
 ///
-/// Severed traffic is buffered and released at the end of the window (the
-/// TCP link closes, reconnects after heal, and flushes its buffer; the
-/// simulator delivers at the heal time plus the edge delay).
+/// By default severed traffic is held and released at the end of the
+/// window (the TCP link closes, reconnects after heal, and flushes its
+/// buffer; the simulator delivers at the heal time plus the edge delay).
+/// A [`lossy`](PartitionWindow::lossy) window loses it instead: a frame
+/// sent on a cut edge inside the window is dropped.
+///
+/// # Examples
+///
+/// ```
+/// use tetrabft_sim::{Cut, EdgeSpec, LinkPlan, PartitionWindow};
+/// use tetrabft_types::NodeId;
+///
+/// // Partial synchrony on four nodes: every message is lost until GST = 50
+/// // (drop `.lossy()` to hold them until then instead), then a hop takes 2.
+/// let gst = PartitionWindow::isolate(0, 50, (0..4).map(NodeId)).with_cut(Cut::Outbound).lossy();
+/// let plan = LinkPlan::uniform(EdgeSpec::delay(2)).partition(gst);
+/// assert_eq!(plan.to_string(), "default(delay=2); part(0..50:0,1,2,3/out/lost)");
+/// assert!(!plan.is_lossless());
+/// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PartitionWindow {
     /// Window start, inclusive, in milliseconds since the run began.
@@ -192,11 +226,14 @@ pub struct PartitionWindow {
     /// Window end, exclusive, in milliseconds since the run began.
     pub end_ms: u64,
     group: Vec<u16>,
+    cut: Cut,
+    /// Whether cut traffic is lost rather than held until the heal.
+    lost: bool,
 }
 
 impl PartitionWindow {
     /// Severs `group` from the rest of the cluster during
-    /// `start_ms..end_ms`.
+    /// `start_ms..end_ms`, holding the cut traffic until the heal.
     ///
     /// # Panics
     ///
@@ -206,12 +243,29 @@ impl PartitionWindow {
         let mut group: Vec<u16> = group.into_iter().map(|id| id.0).collect();
         group.sort_unstable();
         group.dedup();
-        PartitionWindow { start_ms, end_ms, group }
+        PartitionWindow { start_ms, end_ms, group, cut: Cut::Across, lost: false }
     }
 
-    /// Whether the edge `a`–`b` crosses this partition's boundary.
-    pub fn severs(&self, a: NodeId, b: NodeId) -> bool {
-        self.group.binary_search(&a.0).is_ok() != self.group.binary_search(&b.0).is_ok()
+    /// The same window cutting the edges `cut` selects.
+    pub fn with_cut(mut self, cut: Cut) -> Self {
+        self.cut = cut;
+        self
+    }
+
+    /// The same window losing the traffic it cuts.
+    pub fn lossy(mut self) -> Self {
+        self.lost = true;
+        self
+    }
+
+    /// Whether the directed edge `from → to` is cut by this window.
+    pub fn severs(&self, from: NodeId, to: NodeId) -> bool {
+        let member = |id: NodeId| self.group.binary_search(&id.0).is_ok();
+        match self.cut {
+            Cut::Across => member(from) != member(to),
+            Cut::Outbound => member(from),
+            Cut::Inbound => member(to),
+        }
     }
 
     /// Whether `at_ms` falls inside the window.
@@ -221,15 +275,24 @@ impl PartitionWindow {
 }
 
 impl std::fmt::Display for PartitionWindow {
-    /// Canonical `start..end:ids` form, re-parsable by
-    /// [`PartitionWindow::from_str`] (the group is kept sorted, so the
-    /// rendering is unique).
+    /// Canonical `start..end:ids[/out|/in][/lost]` form, re-parsable by
+    /// [`PartitionWindow::from_str`] (the group is kept sorted and the
+    /// flags ordered, so the rendering is unique; a held [`Cut::Across`]
+    /// window prints no flags).
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "{}..{}:", self.start_ms, self.end_ms)?;
         let mut sep = "";
         for id in &self.group {
             write!(f, "{sep}{id}")?;
             sep = ",";
+        }
+        match self.cut {
+            Cut::Across => {}
+            Cut::Outbound => f.write_str("/out")?,
+            Cut::Inbound => f.write_str("/in")?,
+        }
+        if self.lost {
+            f.write_str("/lost")?;
         }
         Ok(())
     }
@@ -239,9 +302,13 @@ impl FromStr for PartitionWindow {
     type Err = PlanParseError;
 
     /// Parses `"500..1500:0,3"` — isolate nodes 0 and 3 during
-    /// milliseconds 500..1500.
+    /// milliseconds 500..1500 — optionally followed by `/out` (cut only
+    /// what the group sends) or `/in` (only what it receives), and
+    /// `/lost` (drop the cut traffic instead of holding it).
     fn from_str(s: &str) -> Result<Self, PlanParseError> {
-        let (range, group) = s
+        let mut flags = s.split('/');
+        let window = flags.next().unwrap_or_default();
+        let (range, group) = window
             .split_once(':')
             .ok_or_else(|| PlanParseError::new(format!("expected range:group, got `{s}`")))?;
         let (start, end) = range
@@ -265,7 +332,20 @@ impl FromStr for PartitionWindow {
         if ids.is_empty() {
             return Err(PlanParseError::new("partition group is empty"));
         }
-        Ok(PartitionWindow::isolate(start, end, ids))
+        let mut w = PartitionWindow::isolate(start, end, ids);
+        for flag in flags.map(str::trim) {
+            match flag {
+                "out" if w.cut == Cut::Across => w.cut = Cut::Outbound,
+                "in" if w.cut == Cut::Across => w.cut = Cut::Inbound,
+                "lost" if !w.lost => w.lost = true,
+                other => {
+                    return Err(PlanParseError::new(format!(
+                        "bad or repeated window flag `{other}`"
+                    )));
+                }
+            }
+        }
+        Ok(w)
     }
 }
 
@@ -308,11 +388,6 @@ impl LinkPlan {
     /// The same spec on every edge.
     pub fn uniform(spec: EdgeSpec) -> Self {
         LinkPlan { default: spec, edges: HashMap::new(), partitions: Vec::new() }
-    }
-
-    /// A LAN preset: 1 ms one-way delay, no jitter or loss.
-    pub fn lan() -> Self {
-        LinkPlan::uniform(EdgeSpec::delay(1))
     }
 
     /// A WAN preset: `one_way_ms` delay with 10% jitter.
@@ -390,11 +465,14 @@ impl LinkPlan {
         max
     }
 
-    /// Whether no edge of the plan ever drops a message. Liveness oracles
-    /// are only armed on lossless plans: with loss the partial-synchrony
-    /// model gives no delivery bound to hold the protocol to.
+    /// Whether no edge of the plan ever drops a message, neither by its
+    /// loss rate nor inside a lossy window. Liveness oracles are only armed
+    /// on lossless plans: with loss the partial-synchrony model gives no
+    /// delivery bound to hold the protocol to.
     pub fn is_lossless(&self) -> bool {
-        self.default.drop_ppm == 0 && self.edges.values().all(|e| e.drop_ppm == 0)
+        self.default.drop_ppm == 0
+            && self.edges.values().all(|e| e.drop_ppm == 0)
+            && self.partitions.iter().all(|w| !w.lost)
     }
 
     /// Samples a random plan for an `n`-node cluster — the adversary
@@ -451,15 +529,16 @@ impl LinkPlan {
     }
 
     /// When a message sent on `from → to` at `at_ms` is released from any
-    /// severing partition windows (equal to `at_ms` when unsevered).
-    /// Chained or overlapping windows are walked through to the final heal.
+    /// holding partition windows (equal to `at_ms` when unsevered).
+    /// Chained or overlapping windows are walked through to the final heal;
+    /// lossy windows hold nothing and are skipped.
     pub fn release_time(&self, from: NodeId, to: NodeId, at_ms: u64) -> u64 {
         let mut at = at_ms;
         loop {
             let Some(end) = self
                 .partitions
                 .iter()
-                .filter(|w| w.severs(from, to) && w.contains(at))
+                .filter(|w| !w.lost && w.severs(from, to) && w.contains(at))
                 .map(|w| w.end_ms)
                 .max()
             else {
@@ -469,26 +548,17 @@ impl LinkPlan {
         }
     }
 
-    /// Routes one message: `None` if dropped by the edge's loss rate,
-    /// otherwise its absolute delivery time in milliseconds — partition
-    /// release first (buffered links flush at heal), then the sampled
-    /// one-way delay.
+    /// Routes one message: `None` if a lossy window cuts the edge at
+    /// `at_ms` (decided before any draw from `rng`) or the edge's loss
+    /// rate drops it, otherwise its absolute delivery time in milliseconds
+    /// — partition release first (buffered links flush at heal), then the
+    /// sampled one-way delay, saturating at `u64::MAX`.
     pub fn route_at(&self, from: NodeId, to: NodeId, at_ms: u64, rng: &mut StdRng) -> Option<u64> {
+        if self.partitions.iter().any(|w| w.lost && w.severs(from, to) && w.contains(at_ms)) {
+            return None;
+        }
         let delay = self.edge_spec(from, to).sample(rng)?;
-        Some(self.release_time(from, to, at_ms) + delay)
-    }
-
-    /// The simulator-side view of this plan: a scripted [`LinkPolicy`]
-    /// with one tick = one millisecond, exactly mirroring what the TCP
-    /// layer's link conditioning does with the wall clock.
-    pub fn policy(&self) -> LinkPolicy {
-        let plan = self.clone();
-        LinkPolicy::scripted(move |env, rng| {
-            match plan.route_at(env.from, env.to, env.now.0, rng) {
-                Some(at) => Route::DeliverAt(Time(at)),
-                None => Route::Drop,
-            }
-        })
+        Some(self.release_time(from, to, at_ms).saturating_add(delay))
     }
 }
 
@@ -520,7 +590,8 @@ impl FromStr for LinkPlan {
 
     /// Parses the grammar printed by [`LinkPlan`]'s `Display`:
     /// `;`-separated `default(<spec>)`, `edge(<from>-><to>[,<spec>])`, and
-    /// `part(<start>..<end>:<ids>)` segments, in any order.
+    /// `part(<window>)` segments (see [`PartitionWindow::from_str`]), in
+    /// any order.
     fn from_str(s: &str) -> Result<Self, PlanParseError> {
         let mut plan = LinkPlan::ideal();
         for seg in s.split(';').map(str::trim).filter(|t| !t.is_empty()) {
@@ -563,7 +634,6 @@ impl FromStr for LinkPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::RouteEnv;
     use rand::SeedableRng;
 
     fn rng() -> StdRng {
@@ -625,22 +695,72 @@ mod tests {
         assert_eq!(dropped, sample(3), "sampling is a pure function of the seed");
     }
 
+    /// Every edge of a four-node cluster cut during `0..gst`: the pre-GST
+    /// network of the paper's partial-synchrony model.
+    fn before_gst(gst: u64) -> PartitionWindow {
+        PartitionWindow::isolate(0, gst, (0..4).map(NodeId)).with_cut(Cut::Outbound)
+    }
+
     #[test]
-    fn policy_mirrors_the_plan_in_virtual_time() {
-        let plan = LinkPlan::uniform(EdgeSpec::delay(30)).partition(PartitionWindow::isolate(
-            0,
-            600,
-            [NodeId(0)],
-        ));
-        let mut policy = plan.policy();
+    fn partial_synchrony_drops_then_bounds() {
+        let plan = LinkPlan::uniform(EdgeSpec::delay(4)).partition(before_gst(100).lossy());
         let mut r = rng();
-        let env = |from, to, now| RouteEnv { from, to, now: Time(now), size: 8 };
-        assert_eq!(
-            policy.route(env(NodeId(0), NodeId(2), 5), &mut r),
-            Route::DeliverAt(Time(630)),
-            "severed traffic heals at the window end plus the edge delay"
-        );
-        assert_eq!(policy.route(env(NodeId(1), NodeId(2), 5), &mut r), Route::DeliverAt(Time(35)));
+        assert_eq!(plan.route_at(NodeId(0), NodeId(1), 0, &mut r), None);
+        assert_eq!(plan.route_at(NodeId(3), NodeId(2), 99, &mut r), None);
+        assert_eq!(plan.route_at(NodeId(0), NodeId(1), 100, &mut r), Some(104));
+        assert_eq!(plan.route_at(NodeId(0), NodeId(1), 150, &mut r), Some(154));
+        assert!(!plan.is_lossless(), "a lossy window makes the plan lossy");
+        assert_eq!(plan.release_time(NodeId(0), NodeId(1), 7), 7, "lossy windows hold nothing");
+    }
+
+    #[test]
+    fn delaying_variant_holds_until_gst() {
+        let plan = LinkPlan::uniform(EdgeSpec::delay(4)).partition(before_gst(100));
+        let mut r = rng();
+        assert_eq!(plan.route_at(NodeId(0), NodeId(1), 7, &mut r), Some(104));
+        assert_eq!(plan.route_at(NodeId(2), NodeId(0), 99, &mut r), Some(104));
+        assert!(plan.is_lossless());
+    }
+
+    #[test]
+    fn lost_frames_draw_nothing_from_the_edge_rng() {
+        let plan = LinkPlan::uniform(EdgeSpec::delay(1).with_jitter(9))
+            .partition(PartitionWindow::isolate(0, 50, [NodeId(0)]).lossy());
+        let (mut a, mut b) = (rng(), rng());
+        assert_eq!(plan.route_at(NodeId(0), NodeId(1), 10, &mut a), None);
+        let draws = |r: &mut StdRng| -> Vec<_> {
+            (0..8).map(|_| plan.route_at(NodeId(1), NodeId(2), 10, r)).collect()
+        };
+        assert_eq!(draws(&mut a), draws(&mut b), "the dropped frame left the stream untouched");
+    }
+
+    #[test]
+    fn directional_lossy_windows_cut_one_way() {
+        // Directional windows: node 1 deaf, node 2 mute, both lossy.
+        let plan = LinkPlan::uniform(EdgeSpec::delay(1))
+            .partition(PartitionWindow::isolate(0, 10, [NodeId(1)]).with_cut(Cut::Inbound).lossy())
+            .partition(
+                PartitionWindow::isolate(0, 10, [NodeId(2)]).with_cut(Cut::Outbound).lossy(),
+            );
+        let mut r = rng();
+        let route = |from, to, r: &mut StdRng| plan.route_at(NodeId(from), NodeId(to), 0, r);
+        assert_eq!(route(0, 1, &mut r), None, "into the deaf node");
+        assert_eq!(route(1, 0, &mut r), Some(1), "the deaf node still speaks");
+        assert_eq!(route(2, 0, &mut r), None, "out of the mute node");
+        assert_eq!(route(0, 2, &mut r), Some(1), "the mute node still hears");
+        assert_eq!(route(0, 3, &mut r), Some(1));
+    }
+
+    #[test]
+    fn overflowing_times_saturate() {
+        let spec: EdgeSpec = "delay=18446744073709551615,jitter=5".parse().unwrap();
+        assert_eq!(spec.max_delay_ms(), u64::MAX);
+        let plan = LinkPlan::uniform(spec);
+        let never = plan.route_at(NodeId(0), NodeId(1), 10, &mut rng());
+        assert_eq!(never, Some(u64::MAX), "a frame is never due before it was sent");
+        let held: LinkPlan = "default(delay=1); part(0..18446744073709551615:0)".parse().unwrap();
+        assert_eq!(held.route_at(NodeId(0), NodeId(1), 10, &mut rng()), Some(u64::MAX));
+        assert_eq!(held.max_delay_ms(2), 1);
     }
 
     #[test]
@@ -664,9 +784,19 @@ mod tests {
         assert!(w.severs(NodeId(3), NodeId(2)));
         assert!(!w.severs(NodeId(0), NodeId(3)), "both isolated: same side");
         assert!(!w.severs(NodeId(1), NodeId(2)));
+        assert_eq!(w, PartitionWindow::isolate(500, 1500, [NodeId(0), NodeId(3)]));
         assert!("500..400:0".parse::<PartitionWindow>().is_err());
         assert!("0..9:".parse::<PartitionWindow>().is_err());
         assert!("0..9".parse::<PartitionWindow>().is_err());
+        let deaf: PartitionWindow = "0..150:3/in/lost".parse().unwrap();
+        assert_eq!(deaf.cut, Cut::Inbound);
+        assert!(deaf.lost);
+        assert!(deaf.severs(NodeId(0), NodeId(3)) && !deaf.severs(NodeId(3), NodeId(0)));
+        assert_eq!("0..150:3/lost/in".parse::<PartitionWindow>().unwrap(), deaf);
+        assert_eq!(deaf.to_string(), "0..150:3/in/lost");
+        assert!("0..9:0/in/out".parse::<PartitionWindow>().is_err(), "one cut only");
+        assert!("0..9:0/lost/lost".parse::<PartitionWindow>().is_err(), "no repeats");
+        assert!("0..9:0/sideways".parse::<PartitionWindow>().is_err());
     }
 
     #[test]
@@ -734,5 +864,25 @@ mod tests {
             assert!((10..=14).contains(&d));
         }
         assert_eq!(spec.max_delay_ms(), 14);
+    }
+
+    #[test]
+    fn synchronous_is_fixed() {
+        let plan = LinkPlan::uniform(EdgeSpec::delay(3));
+        assert_eq!(plan.route_at(NodeId(0), NodeId(1), 10, &mut rng()), Some(13));
+    }
+
+    #[test]
+    fn jitter_stays_in_range_and_is_deterministic() {
+        let plan = LinkPlan::uniform(EdgeSpec::delay(2).with_jitter(3));
+        let mut a = StdRng::seed_from_u64(42);
+        let mut b = StdRng::seed_from_u64(42);
+        for _ in 0..100 {
+            let at = plan.route_at(NodeId(0), NodeId(1), 0, &mut a).expect("jitter never drops");
+            assert!((2..=5).contains(&at));
+            // A fresh plan on the same rng stream position routes the same way.
+            let fresh = LinkPlan::uniform(EdgeSpec::delay(2).with_jitter(3));
+            assert_eq!(Some(at), fresh.route_at(NodeId(0), NodeId(1), 0, &mut b));
+        }
     }
 }

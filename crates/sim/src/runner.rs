@@ -4,7 +4,7 @@
 //! The simulator no longer owns any protocol-driving logic — timer
 //! generations, action dispatch, and the input mux live in
 //! `tetrabft-engine`. What remains here is purely the *environment*: a
-//! global virtual-time event queue, seeded link policies, metrics, and
+//! global virtual-time event queue, a seeded [`LinkPlan`], metrics, and
 //! traces.
 
 use rand::rngs::StdRng;
@@ -14,7 +14,7 @@ use tetrabft_engine::{Dest, Engine, EngineEvent, Node, Time, TimerId, Transport,
 use tetrabft_types::NodeId;
 
 use crate::metrics::Metrics;
-use crate::policy::{LinkPolicy, Route, RouteEnv};
+use crate::plan::{EdgeSpec, LinkPlan};
 use crate::queue::{EventKind, EventQueue};
 use crate::trace::TraceEvent;
 
@@ -38,7 +38,7 @@ pub struct OutputRecord<O> {
 pub struct SimBuilder {
     n: usize,
     seed: u64,
-    policy: LinkPolicy,
+    plan: LinkPlan,
     record_trace: bool,
 }
 
@@ -50,7 +50,7 @@ impl SimBuilder {
     /// Panics if `n == 0`.
     pub fn new(n: usize) -> Self {
         assert!(n > 0, "simulation needs at least one node");
-        SimBuilder { n, seed: 0, policy: LinkPolicy::synchronous(1), record_trace: false }
+        SimBuilder { n, seed: 0, plan: LinkPlan::uniform(EdgeSpec::delay(1)), record_trace: false }
     }
 
     /// Seeds the deterministic RNG (default 0).
@@ -59,17 +59,15 @@ impl SimBuilder {
         self
     }
 
-    /// Sets the link policy (default: synchronous unit delay).
-    pub fn policy(mut self, policy: LinkPolicy) -> Self {
-        self.policy = policy;
+    /// Sets the network: every send between distinct nodes is priced by
+    /// [`LinkPlan::route_at`], one tick = one millisecond — the same plan
+    /// the TCP layer (`tetrabft-net`) consumes, so one scenario
+    /// description drives both runtimes. Default: one tick per hop,
+    /// `LinkPlan::uniform(EdgeSpec::delay(1))`, so decision times count
+    /// message delays.
+    pub fn plan(mut self, plan: &LinkPlan) -> Self {
+        self.plan = plan.clone();
         self
-    }
-
-    /// Sets the link policy from a declarative [`crate::LinkPlan`] — the
-    /// same plan the TCP layer (`tetrabft-net`) consumes, so one scenario
-    /// description drives both runtimes (one tick = one millisecond).
-    pub fn plan(self, plan: &crate::LinkPlan) -> Self {
-        self.policy(plan.policy())
     }
 
     /// Enables the event trace (off by default; it grows with the run).
@@ -107,7 +105,7 @@ impl SimBuilder {
         let mut sim = Sim {
             n,
             engines,
-            policy: self.policy,
+            plan: self.plan,
             rng: StdRng::seed_from_u64(self.seed),
             queue: EventQueue::new(),
             now: Time::ZERO,
@@ -121,7 +119,7 @@ impl SimBuilder {
     }
 }
 
-/// The virtual-time transport: routes sends through the link policy into
+/// The virtual-time transport: routes sends through the link plan into
 /// the global event queue, queues timer firings with their generation tag,
 /// and records outputs. One instance is materialized per dispatch, borrowing
 /// the simulation's shared state on behalf of the dispatching node.
@@ -130,7 +128,7 @@ struct SimTransport<'a, M, O> {
     n: usize,
     now: Time,
     queue: &'a mut EventQueue<M>,
-    policy: &'a mut LinkPolicy,
+    plan: &'a LinkPlan,
     rng: &'a mut StdRng,
     metrics: &'a mut Metrics,
     trace: Option<&'a mut Vec<TraceEvent<M>>>,
@@ -148,21 +146,16 @@ impl<M: WireSize + Clone, O> SimTransport<'_, M, O> {
             self.queue.push(self.now, EventKind::Deliver { to, from, msg });
             return;
         }
-        let size = msg.wire_size();
-        self.metrics.on_send(from, msg.wire_kind(), size);
+        self.metrics.on_send(from, msg.wire_kind(), msg.wire_size());
         if let Some(claim) = msg.audit_claim() {
             self.metrics.on_claim(from, claim);
         }
         if let Some(trace) = self.trace.as_deref_mut() {
             trace.push(TraceEvent::Sent { at: self.now, from, to, msg: msg.clone() });
         }
-        let env = RouteEnv { from, to, now: self.now, size };
-        match self.policy.route(env, self.rng) {
-            Route::DeliverAt(at) => {
-                let at = at.max(self.now);
-                self.queue.push(at, EventKind::Deliver { to, from, msg });
-            }
-            Route::Drop => {
+        match self.plan.route_at(from, to, self.now.0, self.rng) {
+            Some(at) => self.queue.push(Time(at), EventKind::Deliver { to, from, msg }),
+            None => {
                 self.metrics.msgs_dropped += 1;
                 if let Some(trace) = self.trace.as_deref_mut() {
                     trace.push(TraceEvent::Dropped { at: self.now, from, to });
@@ -207,7 +200,7 @@ impl<M: WireSize + Clone, O> Transport<M, O> for SimTransport<'_, M, O> {
 pub struct Sim<M, O> {
     n: usize,
     engines: Vec<Engine<Box<dyn Node<Msg = M, Output = O>>>>,
-    policy: LinkPolicy,
+    plan: LinkPlan,
     rng: StdRng,
     queue: EventQueue<M>,
     now: Time,
@@ -228,7 +221,7 @@ macro_rules! engine_and_transport {
             n: $sim.n,
             now: $sim.now,
             queue: &mut $sim.queue,
-            policy: &mut $sim.policy,
+            plan: &$sim.plan,
             rng: &mut $sim.rng,
             metrics: &mut $sim.metrics,
             trace: $sim.trace.as_mut(),
@@ -397,7 +390,7 @@ impl<M: WireSize + Clone, O> Sim<M, O> {
 mod tests {
     use super::*;
     use crate::actors::{FnNode, SilentNode};
-    use crate::policy::LinkPolicy;
+    use crate::plan::PartitionWindow;
     use tetrabft_engine::Input;
 
     #[derive(Clone, Debug, PartialEq)]
@@ -521,30 +514,49 @@ mod tests {
 
     #[test]
     fn drops_are_counted() {
-        let mut sim =
-            SimBuilder::new(2).policy(LinkPolicy::partial_synchrony(Time(100), 5, 1)).build(|id| {
-                FnNode::<Msg, (), _>::new(move |input, ctx| {
-                    if matches!(input, Input::Start) && id == NodeId(0) {
-                        ctx.send(NodeId(1), Msg(1));
-                    }
-                })
-            });
+        let lost = PartitionWindow::isolate(0, 100, [NodeId(0)]).lossy();
+        let plan = LinkPlan::uniform(EdgeSpec::delay(1)).partition(lost);
+        let mut sim = SimBuilder::new(2).plan(&plan).build(|id| {
+            FnNode::<Msg, (), _>::new(move |input, ctx| {
+                if matches!(input, Input::Start) && id == NodeId(0) {
+                    ctx.send(NodeId(1), Msg(1));
+                }
+            })
+        });
         sim.run_until_quiet(100);
         assert_eq!(sim.metrics().msgs_dropped, 1);
     }
 
     #[test]
+    fn sim_routes_by_the_plan_in_virtual_time() {
+        // Nodes 0 and 1 each send to node 2 at boot; node 0 is isolated
+        // until t = 600, so its message is held to the heal plus the delay.
+        let held = PartitionWindow::isolate(0, 600, [NodeId(0)]);
+        let plan = LinkPlan::uniform(EdgeSpec::delay(30)).partition(held);
+        let mut sim = SimBuilder::new(3).plan(&plan).build(|id| {
+            FnNode::<Msg, (NodeId, Time), _>::new(move |input, ctx| match input {
+                Input::Start if id != NodeId(2) => ctx.send(NodeId(2), Msg(0)),
+                Input::Deliver { from, .. } => ctx.output((from, ctx.now())),
+                _ => {}
+            })
+        });
+        sim.run_until_quiet(100);
+        let arrivals: Vec<_> = sim.outputs().iter().map(|o| o.output).collect();
+        assert_eq!(arrivals, vec![(NodeId(1), Time(30)), (NodeId(0), Time(630))]);
+    }
+
+    #[test]
     fn identical_seeds_identical_runs() {
+        let jittered = LinkPlan::uniform(EdgeSpec::delay(1).with_jitter(6));
         let run = |seed| {
-            let mut sim =
-                SimBuilder::new(3).seed(seed).policy(LinkPolicy::jittered(1, 7)).build(|id| {
-                    FnNode::<Msg, (NodeId, u64), _>::new(move |input, ctx| match input {
-                        Input::Start if id == NodeId(0) => ctx.broadcast(Msg(0)),
-                        Input::Deliver { msg: Msg(k), .. } if k < 3 => ctx.broadcast(Msg(k + 1)),
-                        Input::Deliver { msg: Msg(k), .. } => ctx.output((ctx.me(), k)),
-                        _ => {}
-                    })
-                });
+            let mut sim = SimBuilder::new(3).seed(seed).plan(&jittered).build(|id| {
+                FnNode::<Msg, (NodeId, u64), _>::new(move |input, ctx| match input {
+                    Input::Start if id == NodeId(0) => ctx.broadcast(Msg(0)),
+                    Input::Deliver { msg: Msg(k), .. } if k < 3 => ctx.broadcast(Msg(k + 1)),
+                    Input::Deliver { msg: Msg(k), .. } => ctx.output((ctx.me(), k)),
+                    _ => {}
+                })
+            });
             sim.run_until_quiet(10_000);
             (sim.outputs().to_vec(), sim.metrics().total_bytes_sent())
         };

@@ -33,7 +33,8 @@ pub enum TraceEvent<M> {
         /// The message.
         msg: M,
     },
-    /// A message was dropped by the link policy.
+    /// A message was dropped by the link plan (a lossy window or the
+    /// edge's loss rate).
     Dropped {
         /// Send time.
         at: Time,

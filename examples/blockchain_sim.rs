@@ -27,7 +27,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let mut sim = SimBuilder::new(n)
-        .policy(LinkPolicy::jittered(1, 3)) // mild real-world jitter
+        .plan(&LinkPlan::uniform(EdgeSpec::delay(1).with_jitter(2))) // mild real-world jitter
         .seed(7)
         .build_boxed(|id| {
             if id == NodeId(6) {

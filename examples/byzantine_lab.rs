@@ -19,8 +19,10 @@ fn run_attack(
     let mut agreed = 0;
     let mut runs = 0;
     for seed in 0..10 {
-        let mut sim =
-            SimBuilder::new(4).seed(seed).policy(LinkPolicy::jittered(1, 4)).build_boxed(|id| {
+        let mut sim = SimBuilder::new(4)
+            .seed(seed)
+            .plan(&LinkPlan::uniform(EdgeSpec::delay(1).with_jitter(3)))
+            .build_boxed(|id| {
                 if id == NodeId(0) {
                     make_byz(cfg)
                 } else {

@@ -12,10 +12,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("n = {}, f = {}, quorum = {}", cfg.n(), cfg.f(), cfg.quorum());
 
     // Each node proposes its own value; the round-robin leader of view 0
-    // (node 0) gets to pick.
+    // (node 0) gets to pick. The default link plan takes one tick per hop,
+    // so ticks are message delays.
     let params = Params::new(100); // Δ = 100 ticks → 9Δ view timeout
     let mut sim = SimBuilder::new(4)
-        .policy(LinkPolicy::synchronous(1)) // 1 tick per hop = message delays
         .build(|id| TetraNode::new(cfg, params, id, Value::from_u64(1000 + u64::from(id.0))));
 
     assert!(sim.run_until_outputs(4, 1_000_000), "all nodes decide");

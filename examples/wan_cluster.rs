@@ -1,4 +1,4 @@
-//! WAN-conditioned blockchain cluster: topology and link policy come from
+//! WAN-conditioned blockchain cluster: topology and link plan come from
 //! the environment, and per-slot commit latencies are printed so the
 //! responsiveness claim can be eyeballed against the injected delay.
 //!
@@ -91,7 +91,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let stats = net.stats();
     println!(
-        "\nlink layer: {} reconnects, {} frames resent, {} dropped by policy, {} shed",
+        "\nlink layer: {} reconnects, {} frames resent, {} dropped by the plan, {} shed",
         stats.reconnects, stats.frames_resent, stats.frames_dropped, stats.frames_shed
     );
     println!(

@@ -4,7 +4,9 @@
 
 use tetrabft::Params;
 use tetrabft_multishot::{Block, Finalized, MsMessage, MultiShotNode};
-use tetrabft_sim::{Context, Input, LinkPolicy, Node, Route, RouteEnv, Sim, SimBuilder, Time};
+use tetrabft_sim::{
+    Context, Cut, EdgeSpec, Input, LinkPlan, Node, PartitionWindow, Sim, SimBuilder, Time,
+};
 use tetrabft_types::{Config, NodeId, Slot, View};
 
 fn assert_no_fork(sim: &Sim<MsMessage, Finalized>, honest: &[u16]) {
@@ -68,7 +70,7 @@ impl Node for EquivocatingProducer {
 #[test]
 fn equivocating_block_producer_cannot_fork_the_chain() {
     let cfg = Config::new(4).unwrap();
-    let mut sim = SimBuilder::new(4).policy(LinkPolicy::synchronous(1)).build_boxed(|id| {
+    let mut sim = SimBuilder::new(4).build_boxed(|id| {
         if id == NodeId(1) {
             Box::new(EquivocatingProducer { cfg, me: id })
         } else {
@@ -123,7 +125,7 @@ impl Node for VoteWithholder {
 #[test]
 fn vote_withholding_slows_but_does_not_stop_the_chain() {
     let cfg = Config::new(4).unwrap();
-    let mut sim = SimBuilder::new(4).policy(LinkPolicy::synchronous(1)).build_boxed(|id| {
+    let mut sim = SimBuilder::new(4).build_boxed(|id| {
         if id == NodeId(3) {
             Box::new(VoteWithholder { inner: MultiShotNode::new(cfg, Params::new(5), id) })
         } else {
@@ -148,17 +150,9 @@ fn partition_heals_without_forking() {
     // quorum, so nothing finalizes during the partition — and nothing forks
     // after it heals.
     let cfg = Config::new(4).unwrap();
-    let partition = |env: RouteEnv, _rng: &mut rand::rngs::StdRng| {
-        let cut = env.now < Time(200);
-        let side = |n: NodeId| n.0 / 2;
-        if cut && side(env.from) != side(env.to) {
-            Route::Drop
-        } else {
-            Route::DeliverAt(Time(env.now.0 + 1))
-        }
-    };
+    let split = PartitionWindow::isolate(0, 200, [NodeId(0), NodeId(1)]).lossy();
     let mut sim = SimBuilder::new(4)
-        .policy(LinkPolicy::scripted(partition))
+        .plan(&LinkPlan::uniform(EdgeSpec::delay(1)).partition(split))
         .build(|id| MultiShotNode::new(cfg, Params::new(10), id));
     sim.run_until(Time(190));
     assert!(sim.outputs().is_empty(), "no side of a 2/2 partition may finalize anything");
@@ -175,20 +169,14 @@ fn deaf_node_never_forks_and_never_blocks_the_others() {
     // Node 3's inbound links are dead until t = 150. The other three form a
     // quorum and keep finalizing at full speed. When node 3 starts hearing
     // again the chain is far past its SLOT_WINDOW: without a state-transfer
-    // sub-protocol (which the paper does not define — see DESIGN.md §6, the
-    // block-dissemination scope note) it cannot finalize the missed prefix.
+    // sub-protocol (which the paper does not define: it assumes block
+    // dissemination) it cannot finalize the missed prefix.
     // What consensus *does* guarantee, and what this test checks, is that
     // the deaf node neither forks nor slows anyone down.
     let cfg = Config::new(4).unwrap();
-    let deaf = |env: RouteEnv, _rng: &mut rand::rngs::StdRng| {
-        if env.to == NodeId(3) && env.now < Time(150) {
-            Route::Drop
-        } else {
-            Route::DeliverAt(Time(env.now.0 + 1))
-        }
-    };
+    let deaf = PartitionWindow::isolate(0, 150, [NodeId(3)]).with_cut(Cut::Inbound).lossy();
     let mut sim = SimBuilder::new(4)
-        .policy(LinkPolicy::scripted(deaf))
+        .plan(&LinkPlan::uniform(EdgeSpec::delay(1)).partition(deaf))
         .build(|id| MultiShotNode::new(cfg, Params::new(10), id));
     sim.run_until(Time(1_500));
     assert_no_fork(&sim, &[0, 1, 2, 3]);

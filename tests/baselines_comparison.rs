@@ -10,7 +10,6 @@ use tetrabft_types::NodeId;
 fn good_case_latency_tetra(n: usize) -> u64 {
     let cfg = Config::new(n).unwrap();
     let mut sim = SimBuilder::new(n)
-        .policy(LinkPolicy::synchronous(1))
         .build(move |id| TetraNode::new(cfg, Params::new(1_000), id, Value::from_u64(1)));
     assert!(sim.run_until_outputs(n, 20_000_000));
     sim.outputs()[0].time.0
@@ -19,7 +18,6 @@ fn good_case_latency_tetra(n: usize) -> u64 {
 fn good_case_latency_iths(n: usize) -> u64 {
     let cfg = Config::new(n).unwrap();
     let mut sim = SimBuilder::new(n)
-        .policy(LinkPolicy::synchronous(1))
         .build(move |id| IthsNode::new(cfg, Params::new(1_000), id, Value::from_u64(1)));
     assert!(sim.run_until_outputs(n, 20_000_000));
     sim.outputs()[0].time.0
@@ -28,7 +26,6 @@ fn good_case_latency_iths(n: usize) -> u64 {
 fn good_case_latency_blog(n: usize) -> u64 {
     let cfg = Config::new(n).unwrap();
     let mut sim = SimBuilder::new(n)
-        .policy(LinkPolicy::synchronous(1))
         .build(move |id| BlogNode::new(cfg, Params::new(1_000), id, Value::from_u64(1)));
     assert!(sim.run_until_outputs(n, 20_000_000));
     sim.outputs()[0].time.0
@@ -37,7 +34,6 @@ fn good_case_latency_blog(n: usize) -> u64 {
 fn good_case_latency_pbft(n: usize) -> u64 {
     let cfg = Config::new(n).unwrap();
     let mut sim = SimBuilder::new(n)
-        .policy(LinkPolicy::synchronous(1))
         .build(move |id| PbftNode::new(cfg, Params::new(1_000), id, Value::from_u64(1)));
     assert!(sim.run_until_outputs(n, 20_000_000));
     sim.outputs()[0].time.0
@@ -62,31 +58,24 @@ fn tetra_beats_iths_by_exactly_one_delay_in_recovery_too() {
         let delta = 10;
         match proto {
             "tetra" => {
-                let mut sim =
-                    SimBuilder::new(4).policy(LinkPolicy::synchronous(1)).build_boxed(move |id| {
-                        if id == NodeId(0) {
-                            Box::new(tetrabft_suite::sim::SilentNode::new())
-                        } else {
-                            Box::new(TetraNode::new(
-                                cfg,
-                                Params::new(delta),
-                                id,
-                                Value::from_u64(1),
-                            ))
-                        }
-                    });
+                let mut sim = SimBuilder::new(4).build_boxed(move |id| {
+                    if id == NodeId(0) {
+                        Box::new(tetrabft_suite::sim::SilentNode::new())
+                    } else {
+                        Box::new(TetraNode::new(cfg, Params::new(delta), id, Value::from_u64(1)))
+                    }
+                });
                 assert!(sim.run_until_outputs(3, 20_000_000));
                 sim.outputs()[0].time.0 - 9 * delta
             }
             _ => {
-                let mut sim =
-                    SimBuilder::new(4).policy(LinkPolicy::synchronous(1)).build_boxed(move |id| {
-                        if id == NodeId(0) {
-                            Box::new(tetrabft_suite::sim::SilentNode::new())
-                        } else {
-                            Box::new(IthsNode::new(cfg, Params::new(delta), id, Value::from_u64(1)))
-                        }
-                    });
+                let mut sim = SimBuilder::new(4).build_boxed(move |id| {
+                    if id == NodeId(0) {
+                        Box::new(tetrabft_suite::sim::SilentNode::new())
+                    } else {
+                        Box::new(IthsNode::new(cfg, Params::new(delta), id, Value::from_u64(1)))
+                    }
+                });
                 assert!(sim.run_until_outputs(3, 20_000_000));
                 sim.outputs()[0].time.0 - 9 * delta
             }
@@ -99,15 +88,13 @@ fn tetra_beats_iths_by_exactly_one_delay_in_recovery_too() {
 #[test]
 fn pipelining_beats_repetition_by_about_five() {
     let cfg = Config::new(4).unwrap();
-    let mut pipelined = SimBuilder::new(4)
-        .policy(LinkPolicy::synchronous(1))
-        .build(|id| MultiShotNode::new(cfg, Params::new(1_000_000), id));
+    let mut pipelined =
+        SimBuilder::new(4).build(|id| MultiShotNode::new(cfg, Params::new(1_000_000), id));
     pipelined.run_until(Time(300));
     let blocks = pipelined.outputs().iter().filter(|o| o.node == NodeId(0)).count() as f64;
 
-    let mut repeated = SimBuilder::new(4)
-        .policy(LinkPolicy::synchronous(1))
-        .build(|id| RepeatedTetra::new(cfg, Params::new(1_000_000), id));
+    let mut repeated =
+        SimBuilder::new(4).build(|id| RepeatedTetra::new(cfg, Params::new(1_000_000), id));
     repeated.run_until(Time(300));
     let decisions = repeated.outputs().iter().filter(|o| o.node == NodeId(0)).count() as f64;
 
@@ -121,14 +108,13 @@ fn all_protocols_agree_under_crash() {
     macro_rules! check {
         ($ctor:expr) => {{
             let cfg = Config::new(4).unwrap();
-            let mut sim =
-                SimBuilder::new(4).policy(LinkPolicy::synchronous(1)).build_boxed(move |id| {
-                    if id == NodeId(0) {
-                        Box::new(tetrabft_suite::sim::SilentNode::new())
-                    } else {
-                        Box::new($ctor(cfg, Params::new(10), id, Value::from_u64(9)))
-                    }
-                });
+            let mut sim = SimBuilder::new(4).build_boxed(move |id| {
+                if id == NodeId(0) {
+                    Box::new(tetrabft_suite::sim::SilentNode::new())
+                } else {
+                    Box::new($ctor(cfg, Params::new(10), id, Value::from_u64(9)))
+                }
+            });
             assert!(sim.run_until_outputs(3, 20_000_000));
             let first = sim.outputs()[0].output;
             assert!(sim.outputs().iter().all(|o| o.output == first));

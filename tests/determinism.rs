@@ -1,10 +1,10 @@
-//! A simulation run is a pure function of `(protocol, policy, seed)` — the
+//! A simulation run is a pure function of `(protocol, plan, seed)` — the
 //! property every experiment in the repository rests on. Same seed twice ⇒
 //! bit-identical decision ticks, outputs, metrics, and event trace;
 //! different seeds ⇒ different schedules that nevertheless all decide.
 
 use tetrabft::{Message, Params, TetraNode};
-use tetrabft_sim::{LinkPolicy, OutputRecord, SimBuilder, TraceEvent};
+use tetrabft_sim::{EdgeSpec, LinkPlan, OutputRecord, SimBuilder, TraceEvent};
 use tetrabft_suite::prelude::*;
 use tetrabft_types::NodeId;
 
@@ -23,7 +23,7 @@ fn run_single_shot(seed: u64, jitter_max: u64) -> RunRecord {
     let cfg = Config::new(4).unwrap();
     let mut sim = SimBuilder::new(4)
         .seed(seed)
-        .policy(LinkPolicy::jittered(1, jitter_max))
+        .plan(&LinkPlan::uniform(EdgeSpec::delay(1).with_jitter(jitter_max - 1)))
         .record_trace(true)
         .build(move |id| {
             TetraNode::new(cfg, Params::new(25 + jitter_max), id, Value::from_u64(u64::from(id.0)))
@@ -84,7 +84,7 @@ fn multishot_runs_are_equally_deterministic() {
         let cfg = Config::new(4).unwrap();
         let mut sim = SimBuilder::new(4)
             .seed(seed)
-            .policy(LinkPolicy::jittered(1, 4))
+            .plan(&LinkPlan::uniform(EdgeSpec::delay(1).with_jitter(3)))
             .build(|id| MultiShotNode::new(cfg, Params::new(20), id));
         sim.run_until(Time(400));
         let chain: Vec<(u64, u64)> = sim

@@ -35,9 +35,8 @@ fn assert_prefix_consistency(sim: &Sim<MsMessage, Finalized>, n: usize) {
 #[test]
 fn long_run_thousand_blocks() {
     let cfg = Config::new(4).unwrap();
-    let mut sim = SimBuilder::new(4)
-        .policy(LinkPolicy::synchronous(1))
-        .build(|id| MultiShotNode::new(cfg, Params::new(1_000_000), id));
+    let mut sim =
+        SimBuilder::new(4).build(|id| MultiShotNode::new(cfg, Params::new(1_000_000), id));
     sim.run_until(Time(1_010));
     let chain_len = sim.outputs().iter().filter(|o| o.node == NodeId(0)).count();
     assert!(chain_len >= 1_000, "got {chain_len} blocks in 1010 delays");
@@ -49,7 +48,7 @@ fn repeated_leader_crashes_never_fork() {
     // The silent node leads every 4th (slot+view); the chain stalls and
     // recovers over and over. Consistency must hold throughout.
     let cfg = Config::new(4).unwrap();
-    let mut sim = SimBuilder::new(4).policy(LinkPolicy::synchronous(1)).build_boxed(|id| {
+    let mut sim = SimBuilder::new(4).build_boxed(|id| {
         if id == NodeId(2) {
             Box::new(tetrabft_suite::sim::SilentNode::new())
         } else {
@@ -71,7 +70,7 @@ fn repeated_leader_crashes_never_fork() {
 #[test]
 fn seven_nodes_two_crashes() {
     let cfg = Config::new(7).unwrap();
-    let mut sim = SimBuilder::new(7).policy(LinkPolicy::synchronous(1)).build_boxed(|id| {
+    let mut sim = SimBuilder::new(7).build_boxed(|id| {
         if id.0 >= 5 {
             Box::new(tetrabft_suite::sim::SilentNode::new())
         } else {
@@ -87,9 +86,11 @@ fn seven_nodes_two_crashes() {
 fn asynchrony_then_recovery_keeps_consistency() {
     for seed in 0..4 {
         let cfg = Config::new(4).unwrap();
+        let gst = PartitionWindow::isolate(0, 150, (0..4).map(NodeId)).with_cut(Cut::Outbound);
+        let plan = LinkPlan::uniform(EdgeSpec::delay(2)).partition(gst.lossy());
         let mut sim = SimBuilder::new(4)
             .seed(seed)
-            .policy(LinkPolicy::partial_synchrony(Time(150), 10, 2))
+            .plan(&plan)
             .build(|id| MultiShotNode::new(cfg, Params::new(10), id));
         sim.run_until(Time(1_200));
         assert_prefix_consistency(&sim, 4);
@@ -107,7 +108,7 @@ fn liveness_every_nodes_transaction_lands() {
     let tx = b"the-universal-tx".to_vec();
     let cfg = Config::new(4).unwrap();
     let tx2 = tx.clone();
-    let mut sim = SimBuilder::new(4).policy(LinkPolicy::synchronous(1)).build(move |id| {
+    let mut sim = SimBuilder::new(4).build(move |id| {
         let mut node = MultiShotNode::new(cfg, Params::new(1_000), id);
         node.submit_tx(tx2.clone()).unwrap();
         node
@@ -133,7 +134,7 @@ fn batching_liveness_lands_within_bounded_slots() {
     let tx = b"bounded-latency-tx".to_vec();
     let cfg = Config::new(n).unwrap();
     let tx2 = tx.clone();
-    let mut sim = SimBuilder::new(n).policy(LinkPolicy::synchronous(1)).build(move |id| {
+    let mut sim = SimBuilder::new(n).build(move |id| {
         let mut node = MultiShotNode::new(cfg, Params::new(1_000), id);
         node.submit_tx(tx2.clone()).unwrap();
         node
@@ -158,7 +159,7 @@ fn batch_drain_order_is_fifo_across_blocks() {
     let n = 4;
     let cfg = Config::new(n).unwrap();
     let params = Params::new(1_000).with_max_block_txs(8);
-    let mut sim = SimBuilder::new(n).policy(LinkPolicy::synchronous(1)).build(move |id| {
+    let mut sim = SimBuilder::new(n).build(move |id| {
         let mut node = MultiShotNode::new(cfg, params, id);
         if id == NodeId(0) {
             for k in 0..40u32 {
@@ -195,19 +196,13 @@ fn admitted_txs_survive_lost_view_changes() {
     // receives), view-change away, and finalize under other leaders —
     // each time, the drained batch must return to node 0's mempool, so
     // that once its link heals every admitted tx still reaches the chain.
-    use tetrabft_suite::sim::{LinkPolicy, Route};
     let n = 4;
     let cfg = Config::new(n).unwrap();
-    let policy = LinkPolicy::scripted(|env, _| {
-        if env.from == NodeId(0) && env.now < Time(200) {
-            Route::Drop
-        } else {
-            Route::DeliverAt(env.now + 1)
-        }
-    });
+    let mute = PartitionWindow::isolate(0, 200, [NodeId(0)]).with_cut(Cut::Outbound).lossy();
+    let plan = LinkPlan::uniform(EdgeSpec::delay(1)).partition(mute);
     let txs: Vec<Vec<u8>> = (0..10).map(|k| format!("durable-{k}").into_bytes()).collect();
     let txs2 = txs.clone();
-    let mut sim = SimBuilder::new(n).policy(policy).build(move |id| {
+    let mut sim = SimBuilder::new(n).plan(&plan).build(move |id| {
         let mut node = MultiShotNode::new(cfg, Params::new(5).with_max_block_txs(4), id);
         if id == NodeId(0) {
             for tx in &txs2 {
@@ -235,7 +230,7 @@ fn admitted_txs_survive_lost_view_changes() {
 #[test]
 fn blocks_carry_distinct_payloads_per_slot() {
     let cfg = Config::new(4).unwrap();
-    let mut sim = SimBuilder::new(4).policy(LinkPolicy::synchronous(1)).build(move |id| {
+    let mut sim = SimBuilder::new(4).build(move |id| {
         let mut node = MultiShotNode::new(cfg, Params::new(1_000), id);
         for k in 0..100 {
             node.submit_tx(format!("{id}-{k}").into_bytes()).unwrap();

@@ -6,8 +6,20 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use tetrabft_sim::{EdgeSpec, LinkPlan, PartitionWindow, PlanParseError};
+use tetrabft_sim::{Cut, EdgeSpec, LinkPlan, PartitionWindow, PlanParseError};
 use tetrabft_types::NodeId;
+
+/// A window over `ids` with any combination of the two attributes: which
+/// edges it cuts (`cut` picks one of the three) and whether it loses them.
+fn window(start: u64, end: u64, ids: Vec<NodeId>, (cut, lost): (u8, bool)) -> PartitionWindow {
+    let cut = [Cut::Across, Cut::Outbound, Cut::Inbound][usize::from(cut)];
+    let w = PartitionWindow::isolate(start, end, ids).with_cut(cut);
+    if lost {
+        w.lossy()
+    } else {
+        w
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -28,15 +40,16 @@ proptest! {
     }
 
     /// Partition windows round-trip, with the group canonicalized (sorted,
-    /// deduplicated) on both sides.
+    /// deduplicated) on both sides, in all three cuts, held or lost.
     #[test]
     fn partition_window_display_round_trips(
         start in 0u64..=100_000,
         len in 1u64..=50_000,
         group in proptest::collection::vec(0u16..16, 1..=6),
+        attrs in (0u8..3, any::<bool>()),
     ) {
         let ids: Vec<NodeId> = group.into_iter().map(NodeId).collect();
-        let window = PartitionWindow::isolate(start, start + len, ids);
+        let window = window(start, start + len, ids, attrs);
         let rendered = window.to_string();
         let reparsed: PartitionWindow = rendered.parse().expect("canonical form must parse");
         prop_assert_eq!(reparsed, window, "rendering was `{}`", rendered);
@@ -61,17 +74,13 @@ proptest! {
         base_delay in 1u64..=200,
         from in 0u16..6,
         to in 0u16..6,
-        part_start in 0u64..=500,
-        part_len in 1u64..=500,
+        (part_start, part_len) in (0u64..=500, 1u64..=500),
         isolate in 0u16..6,
+        attrs in (0u8..3, any::<bool>()),
     ) {
         let plan = LinkPlan::uniform(EdgeSpec::delay(base_delay))
             .link(NodeId(from), NodeId(to), EdgeSpec::IDEAL)
-            .partition(PartitionWindow::isolate(
-                part_start,
-                part_start + part_len,
-                [NodeId(isolate)],
-            ));
+            .partition(window(part_start, part_start + part_len, vec![NodeId(isolate)], attrs));
         let rendered = plan.to_string();
         let reparsed: LinkPlan = rendered.parse().expect("canonical form must parse");
         prop_assert_eq!(reparsed, plan, "rendering was `{}`", rendered);
@@ -120,6 +129,10 @@ fn hostile_partition_windows_yield_typed_errors() {
     assert_parse_error("10..20: , ,".parse::<PartitionWindow>(), "group is empty");
     assert_parse_error("10..20:0,node3".parse::<PartitionWindow>(), "bad node id");
     assert_parse_error("10..20:70000".parse::<PartitionWindow>(), "bad node id");
+    // Flags: one cut, at most once lost, nothing else.
+    assert_parse_error("10..20:0/up".parse::<PartitionWindow>(), "bad or repeated window flag");
+    assert_parse_error("10..20:0/in/out".parse::<PartitionWindow>(), "bad or repeated");
+    assert_parse_error("10..20:0/lost/lost".parse::<PartitionWindow>(), "bad or repeated");
 }
 
 #[test]

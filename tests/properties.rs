@@ -54,7 +54,7 @@ proptest! {
         let cfg = Config::new(4).unwrap();
         let mut sim = SimBuilder::new(4)
             .seed(seed)
-            .policy(LinkPolicy::jittered(1, jitter_max))
+            .plan(&LinkPlan::uniform(EdgeSpec::delay(1).with_jitter(jitter_max - 1)))
             .build_boxed(move |id| {
                 if id.0 == byz_pos {
                     byz_node(adversary, cfg)
@@ -83,7 +83,7 @@ proptest! {
         let cfg = Config::new(4).unwrap();
         let mut sim = SimBuilder::new(4)
             .seed(seed)
-            .policy(LinkPolicy::jittered(1, jitter_max))
+            .plan(&LinkPlan::uniform(EdgeSpec::delay(1).with_jitter(jitter_max - 1)))
             .build_boxed(move |id| {
                 if Some(id.0) == dead {
                     Box::new(tetrabft_suite::sim::SilentNode::new())
@@ -108,14 +108,14 @@ proptest! {
     }
 
     /// Determinism: the same seed and configuration produce bit-identical
-    /// outcomes — the property every experiment in EXPERIMENTS.md rests on.
+    /// outcomes — the property every bench and test run rests on.
     #[test]
     fn simulation_is_deterministic(seed in any::<u64>(), jitter_max in 1u64..6) {
         let run = || {
             let cfg = Config::new(4).unwrap();
             let mut sim = SimBuilder::new(4)
                 .seed(seed)
-                .policy(LinkPolicy::jittered(1, jitter_max))
+                .plan(&LinkPlan::uniform(EdgeSpec::delay(1).with_jitter(jitter_max - 1)))
                 .build(move |id| {
                     TetraNode::new(cfg, Params::new(20), id, Value::from_u64(u64::from(id.0)))
                 });

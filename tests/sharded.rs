@@ -11,7 +11,7 @@ fn sharded(k: usize, params: Params) -> ShardedSim {
         k,
         4,
         0,
-        |_, _| LinkPolicy::synchronous(1),
+        |_, _| LinkPlan::uniform(EdgeSpec::delay(1)),
         move |shard, id| {
             let mut node = MultiShotNode::new(cfg, params, id);
             // Every node pre-queues shard-routed txs, as a gateway

@@ -61,7 +61,7 @@ fn single_shot_run(seed: u64, jitter_max: u64) -> RunRecord<Value, Message> {
     let cfg = Config::new(4).unwrap();
     let mut sim = SimBuilder::new(4)
         .seed(seed)
-        .policy(LinkPolicy::jittered(1, jitter_max))
+        .plan(&LinkPlan::uniform(EdgeSpec::delay(1).with_jitter(jitter_max - 1)))
         .record_trace(true)
         .build(|id| {
             TetraNode::new(cfg, Params::new(25 + jitter_max), id, Value::from_u64(u64::from(id.0)))
@@ -74,7 +74,7 @@ fn multishot_run(seed: u64) -> RunRecord<Finalized, MsMessage> {
     let cfg = Config::new(4).unwrap();
     let mut sim = SimBuilder::new(4)
         .seed(seed)
-        .policy(LinkPolicy::jittered(1, 4))
+        .plan(&LinkPlan::uniform(EdgeSpec::delay(1).with_jitter(3)))
         .record_trace(true)
         .build(|id| MultiShotNode::new(cfg, Params::new(20), id));
     sim.run_until(Time(400));
@@ -97,6 +97,22 @@ const MULTISHOT: [(u64, u64); 3] =
 
 /// Digest of the partial-synchrony fault run.
 const FAULTS: u64 = 0xef29_8a0a_1624_439d;
+
+/// `(name, digest)` of the four network scenarios
+/// `scenario_runs_match_pinned_digests` drives, recorded when the simulator
+/// still took closure-based link policies; the plans reproduce them.
+const SCENARIOS: [(&str, u64); 4] = [
+    ("held until GST", 0x2663_d10d_4389_d7e4),
+    ("{0,1} | {2,3} lost", 0xe3d9_f752_b6da_e63b),
+    ("node 3 deaf", 0x862e_4578_a84e_e63a),
+    ("node 0 mute", 0x9b4f_7e27_18c3_421c),
+];
+
+/// Every edge of the four-node cluster cut during `0..gst`, traffic held
+/// to GST unless made lossy.
+fn before_gst(gst: u64) -> PartitionWindow {
+    PartitionWindow::isolate(0, gst, (0..4).map(NodeId)).with_cut(Cut::Outbound)
+}
 
 #[test]
 fn single_shot_runs_match_pinned_digests() {
@@ -124,11 +140,58 @@ fn fault_run_matches_pinned_digest() {
     let cfg = Config::new(4).unwrap();
     let mut sim = SimBuilder::new(4)
         .seed(99)
-        .policy(LinkPolicy::partial_synchrony(Time(150), 10, 2))
+        .plan(&LinkPlan::uniform(EdgeSpec::delay(2)).partition(before_gst(150).lossy()))
         .record_trace(true)
         .build(|id| MultiShotNode::new(cfg, Params::new(10), id));
     sim.run_until(Time(600));
     let run = record(&sim);
     assert!(run.outputs.iter().any(|o| o.node == NodeId(0)), "the chain must recover after GST");
     assert_eq!(digest(&run), FAULTS, "the fault run changed");
+}
+
+/// Four multishot nodes on `plan`, node 0 holding `txs` submitted
+/// transactions, run to `horizon`.
+fn scenario_run(
+    plan: &LinkPlan,
+    params: Params,
+    txs: usize,
+    horizon: u64,
+) -> RunRecord<Finalized, MsMessage> {
+    let cfg = Config::new(4).unwrap();
+    let mut sim = SimBuilder::new(4).seed(99).plan(plan).record_trace(true).build(|id| {
+        let mut node = MultiShotNode::new(cfg, params, id);
+        if id == NodeId(0) {
+            for k in 0..txs {
+                node.submit_tx(format!("pinned-{k}").into_bytes()).unwrap();
+            }
+        }
+        node
+    });
+    sim.run_until(Time(horizon));
+    record(&sim)
+}
+
+#[test]
+fn scenario_runs_match_pinned_digests() {
+    // Each scripted network as a plan: the delaying partial synchrony, a
+    // 2/2 split, a deaf node, and a mute one, one tick per surviving hop.
+    let unit = LinkPlan::uniform(EdgeSpec::delay(1));
+    let split = PartitionWindow::isolate(0, 200, [NodeId(0), NodeId(1)]).lossy();
+    let deaf = PartitionWindow::isolate(0, 150, [NodeId(3)]).with_cut(Cut::Inbound).lossy();
+    let mute = PartitionWindow::isolate(0, 200, [NodeId(0)]).with_cut(Cut::Outbound).lossy();
+    let runs = [
+        scenario_run(
+            &LinkPlan::uniform(EdgeSpec::delay(2)).partition(before_gst(150)),
+            Params::new(10),
+            0,
+            600,
+        ),
+        scenario_run(&unit.clone().partition(split), Params::new(10), 0, 600),
+        scenario_run(&unit.clone().partition(deaf), Params::new(10), 0, 600),
+        scenario_run(&unit.partition(mute), Params::new(5).with_max_block_txs(4), 10, 800),
+    ];
+    for ((name, pinned), run) in SCENARIOS.into_iter().zip(runs) {
+        assert!(run.outputs.iter().any(|o| o.node == NodeId(1)), "{name}: the chain must grow");
+        assert_eq!(digest(&run), pinned, "{name}: the run changed");
+    }
 }

@@ -26,15 +26,15 @@ fn node_persistent_state_is_view_independent() {
     let probe = TetraNode::new(cfg, Params::new(5), NodeId(1), Value::from_u64(1));
     let baseline = probe.persistent_bytes();
 
-    let mut sim = SimBuilder::new(4)
-        .policy(LinkPolicy::partial_synchrony(Time(400), 5, 1))
-        .build_boxed(move |id| {
-            if id == NodeId(0) {
-                Box::new(tetrabft_suite::sim::SilentNode::new())
-            } else {
-                Box::new(TetraNode::new(cfg, Params::new(5), id, Value::from_u64(7)))
-            }
-        });
+    let gst = PartitionWindow::isolate(0, 400, (0..4).map(NodeId)).with_cut(Cut::Outbound);
+    let plan = LinkPlan::uniform(EdgeSpec::delay(1)).partition(gst.lossy());
+    let mut sim = SimBuilder::new(4).plan(&plan).build_boxed(move |id| {
+        if id == NodeId(0) {
+            Box::new(tetrabft_suite::sim::SilentNode::new())
+        } else {
+            Box::new(TetraNode::new(cfg, Params::new(5), id, Value::from_u64(7)))
+        }
+    });
     sim.run_until_outputs(3, 5_000_000);
     // The type makes the bound structural; this exercises the claim end to
     // end: a fresh node reports the same footprint the whole run through.
@@ -78,7 +78,6 @@ proptest! {
     fn multishot_active_state_is_bounded(horizon in 50u64..400) {
         let cfg = Config::new(4).unwrap();
         let mut sim = SimBuilder::new(4)
-            .policy(LinkPolicy::synchronous(1))
             .build(|id| MultiShotNode::new(cfg, Params::new(1_000_000), id));
         sim.run_until(Time(horizon));
         // The chain grows with the horizon…
