@@ -8,45 +8,9 @@
 use std::collections::BTreeMap;
 
 use tetrabft::Params;
-use tetrabft_multishot::{Finalized, MsMessage, MultiShotNode};
-use tetrabft_sim::{Action, ActionBuf, Context, Input, Node, SimBuilder, Time, TraceEvent};
+use tetrabft_multishot::{MsMessage, MultiShotNode};
+use tetrabft_sim::{FilteredNode, SimBuilder, Time, TraceEvent};
 use tetrabft_types::{Config, NodeId};
-
-/// Wraps an honest node but swallows its proposal for one slot — the
-/// minimal Fig. 3 fault (a leader that fails to propose, without crashing).
-struct SuppressSlot {
-    inner: MultiShotNode,
-    slot: u64,
-}
-
-impl Node for SuppressSlot {
-    type Msg = MsMessage;
-    type Output = Finalized;
-
-    fn handle(&mut self, input: Input<MsMessage>, ctx: &mut Context<'_, MsMessage, Finalized>) {
-        let mut buf: ActionBuf<MsMessage, Finalized> = ActionBuf::new();
-        {
-            let mut inner_ctx = Context::buffered(ctx.me(), ctx.n(), ctx.now(), &mut buf);
-            self.inner.handle(input, &mut inner_ctx);
-        }
-        for action in buf {
-            match action {
-                Action::Send { dest: _, msg: MsMessage::Proposal { view, ref block } }
-                    if block.slot.0 == self.slot && view.is_zero() =>
-                {
-                    // Swallowed: the slot-3 block never goes out.
-                }
-                Action::Send { dest, msg } => match dest {
-                    tetrabft_sim::Dest::All => ctx.broadcast(msg),
-                    tetrabft_sim::Dest::Node(to) => ctx.send(to, msg),
-                },
-                Action::SetTimer { id, after } => ctx.set_timer(id, after),
-                Action::CancelTimer { id } => ctx.cancel_timer(id),
-                Action::Output(out) => ctx.output(out),
-            }
-        }
-    }
-}
 
 fn main() {
     let n = 4;
@@ -62,7 +26,12 @@ fn main() {
                 tetrabft_types::View(0),
             )
         {
-            Box::new(SuppressSlot { inner, slot: failed_slot })
+            // The minimal Fig. 3 fault: a leader that fails to propose
+            // one slot, without crashing.
+            Box::new(FilteredNode::new(inner, move |_, m: &MsMessage| {
+                !matches!(m, MsMessage::Proposal { view, block }
+                    if block.slot.0 == failed_slot && view.is_zero())
+            }))
         } else {
             Box::new(inner)
         }

@@ -18,8 +18,9 @@ use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 use tetrabft::{Params, TetraNode};
+use tetrabft_baselines::pbft::PbftMsg;
 use tetrabft_baselines::{BlogNode, IthsNode, PbftNode};
-use tetrabft_sim::{EdgeSpec, LinkPlan, SilentNode, Sim, SimBuilder, Time, WireSize};
+use tetrabft_sim::{EdgeSpec, FilteredNode, LinkPlan, SilentNode, Sim, SimBuilder, Time, WireSize};
 use tetrabft_types::{Config, NodeId, Value};
 
 /// Latency + communication measurements for one protocol scenario.
@@ -169,48 +170,6 @@ pub fn view_change_delays(protocol: Protocol, n: usize, delta: u64) -> u64 {
     m.latency.saturating_sub(timeout)
 }
 
-/// A PBFT node whose view-0 commits are swallowed: the view completes its
-/// prepare phase (so every node holds a full O(n) prepared certificate) but
-/// stalls before deciding, forcing the *worst-case* view change Table 1
-/// prices at O(n³) total bits — certificate-carrying view-changes from all
-/// nodes plus the O(n²) new-view bundle.
-struct StalledCommitPbft {
-    inner: PbftNode,
-}
-
-impl tetrabft_sim::Node for StalledCommitPbft {
-    type Msg = tetrabft_baselines::pbft::PbftMsg;
-    type Output = Value;
-
-    fn handle(
-        &mut self,
-        input: tetrabft_sim::Input<Self::Msg>,
-        ctx: &mut tetrabft_sim::Context<'_, Self::Msg, Value>,
-    ) {
-        use tetrabft_baselines::pbft::PbftMsg;
-        use tetrabft_sim::{Action, ActionBuf, Context, Dest};
-        let mut buf: ActionBuf<Self::Msg, Value> = ActionBuf::new();
-        {
-            let mut inner_ctx = Context::buffered(ctx.me(), ctx.n(), ctx.now(), &mut buf);
-            self.inner.handle(input, &mut inner_ctx);
-        }
-        for action in buf {
-            match action {
-                Action::Send { msg: PbftMsg::Commit { view, .. }, .. } if view.is_zero() => {
-                    // Swallowed: view 0 prepared but can never commit.
-                }
-                Action::Send { dest, msg } => match dest {
-                    Dest::All => ctx.broadcast(msg),
-                    Dest::Node(to) => ctx.send(to, msg),
-                },
-                Action::SetTimer { id, after } => ctx.set_timer(id, after),
-                Action::CancelTimer { id } => ctx.cancel_timer(id),
-                Action::Output(v) => ctx.output(v),
-            }
-        }
-    }
-}
-
 /// Runs PBFT through a *loaded* view change: view 0 reaches the prepared
 /// state everywhere, stalls, and recovers in view 1 with full certificates
 /// on the wire. Returns the communication measurement (the O(n³) scenario
@@ -218,8 +177,17 @@ impl tetrabft_sim::Node for StalledCommitPbft {
 pub fn pbft_loaded_view_change(n: usize, delta: u64) -> Measurement {
     let cfg = Config::new(n).expect("valid n");
     let params = Params::new(delta);
-    let sim = SimBuilder::new(n).build(move |id| StalledCommitPbft {
-        inner: PbftNode::new(cfg, params, id, Value::from_u64(u64::from(id.0) + 1)),
+    // Every view-0 commit is swallowed: the view completes its prepare
+    // phase, so every node holds a full O(n) prepared certificate, but
+    // stalls before deciding. That forces the *worst-case* view change
+    // Table 1 prices at O(n³) total bits: certificate-carrying view-changes
+    // from all nodes plus the O(n²) new-view bundle.
+    let sim = SimBuilder::new(n).build(move |id| {
+        let node = PbftNode::new(cfg, params, id, Value::from_u64(u64::from(id.0) + 1));
+        FilteredNode::new(
+            node,
+            |_, m: &PbftMsg| !matches!(m, PbftMsg::Commit { view, .. } if view.is_zero()),
+        )
     });
     measure(sim, n)
 }

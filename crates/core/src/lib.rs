@@ -25,7 +25,10 @@
 //! The implementation is sans-I/O: [`TetraNode`] is a deterministic state
 //! machine implementing [`tetrabft_sim::Node`], equally at home under the
 //! discrete-event simulator, the TCP transport of `tetrabft-net`, or a
-//! model checker.
+//! model checker. This crate holds the protocol only: the attackers the
+//! safety tests run against it are `tetrabft-fuzz`'s behavior catalogue,
+//! and a crashed or send-cut replica is built with `tetrabft-sim`'s
+//! `SilentNode` or `FilteredNode`.
 //!
 //! # Examples
 //!
@@ -55,7 +58,6 @@ mod node;
 mod params;
 mod records;
 pub mod rules;
-pub mod strategies;
 
 pub use msg::{Message, ProofData, SuggestData};
 pub use node::{TetraNode, VIEW_TIMER};

@@ -1,15 +1,25 @@
-//! Protocol-speaking Byzantine behaviors for the fuzzer.
+//! The attack catalogue: protocol-speaking Byzantine behaviors.
 //!
 //! Each constructor returns a [`Behavior`] that a
 //! [`ByzantineActor`](tetrabft_sim::ByzantineActor) composes with others.
+//! The actor expands broadcasts to every *other* node, applies its
+//! selective silence and caps its emissions. This module is the one place
+//! attacks are written: the fuzzer samples from it, and the safety tests
+//! and the `byzantine_lab` example build their attackers from it. The two
+//! other faulty replicas need no behavior: a crash is a
+//! [`SilentNode`](tetrabft_sim::SilentNode), and an honest node with some
+//! sends cut is a [`FilteredNode`](tetrabft_sim::FilteredNode).
+//!
 //! Single-shot behaviors speak [`Message`], chain behaviors speak
 //! [`MsMessage`]; the scenario builder picks the right family from
-//! [`Mode`](crate::Mode).
+//! [`Mode`](crate::Mode). The actor's default emission budget keeps a fuzz
+//! run bounded; a safety test that wants an uncapped attacker builds its
+//! actor with `with_budget(u64::MAX)`.
 
-use tetrabft::Message;
+use tetrabft::{Message, ProofData, SuggestData};
 use tetrabft_multishot::{BlockHash, MsMessage};
 use tetrabft_sim::{Behavior, BehaviorEnv, Dest, FnBehavior, Input};
-use tetrabft_types::{Phase, Slot, Value, View};
+use tetrabft_types::{Config, Phase, Slot, Value, View, VoteInfo};
 
 /// Ensures the equivocation offset actually flips at least one bit.
 fn nonzero(flip: u64) -> u64 {
@@ -81,6 +91,86 @@ pub fn skewed_replayer(view_offset: u64) -> impl Behavior<Message> {
                     },
                 ));
             }
+        },
+    )
+}
+
+/// Replays every delivered vote one view back (stale) and one view ahead
+/// (premature), both of which honest registers must tolerate.
+pub fn stale_replayer() -> impl Behavior<Message> {
+    FnBehavior::new(|input: &Input<Message>, _env: &BehaviorEnv, out: &mut Vec<(Dest, Message)>| {
+        if let Input::Deliver { msg: Message::Vote { phase, view, value }, .. } = input {
+            if let Some(prev) = view.prev() {
+                out.push((Dest::All, Message::Vote { phase: *phase, view: prev, value: *value }));
+            }
+            out.push((
+                Dest::All,
+                Message::Vote { phase: *phase, view: view.next(), value: *value },
+            ));
+        }
+    })
+}
+
+/// Maximal vote amplification: for every new `(view, value)` pair it hears
+/// in a proposal or a vote, it broadcasts a vote in all four phases. It
+/// remembers the last 64 pairs, so a long run cannot grow its memory.
+pub fn vote_amplifier() -> impl Behavior<Message> {
+    let mut seen: Vec<(View, Value)> = Vec::new();
+    FnBehavior::new(
+        move |input: &Input<Message>, _env: &BehaviorEnv, out: &mut Vec<(Dest, Message)>| {
+            let (view, value) = match input {
+                Input::Deliver {
+                    msg: Message::Proposal { view, value } | Message::Vote { view, value, .. },
+                    ..
+                } => (*view, *value),
+                _ => return,
+            };
+            if seen.contains(&(view, value)) {
+                return;
+            }
+            if seen.len() >= 64 {
+                seen.remove(0);
+            }
+            seen.push((view, value));
+            for phase in Phase::ALL {
+                out.push((Dest::All, Message::Vote { phase, view, value }));
+            }
+        },
+    )
+}
+
+/// A lying historian: the first time it hears a view change into a view,
+/// it fabricates history for `poison` there. It broadcasts a proof and
+/// sends the view's leader a suggest, both claiming votes for `poison` in
+/// the previous view, then joins the view change.
+pub fn lying_historian(poison: Value) -> impl Behavior<Message> {
+    let mut answered_up_to: Option<View> = None;
+    FnBehavior::new(
+        move |input: &Input<Message>, env: &BehaviorEnv, out: &mut Vec<(Dest, Message)>| {
+            let Input::Deliver { msg: Message::ViewChange { view }, .. } = input else { return };
+            let view = *view;
+            if answered_up_to.is_some_and(|v| view <= v) {
+                return;
+            }
+            answered_up_to = Some(view);
+            let fake = Some(VoteInfo::new(View(view.0.saturating_sub(1)), poison));
+            out.push((
+                Dest::All,
+                Message::Proof {
+                    view,
+                    data: ProofData { vote1: fake, prev_vote1: None, vote4: fake },
+                },
+            ));
+            let leader =
+                Config::new(env.n).expect("a running system has a valid size").leader_of(view);
+            out.push((
+                Dest::Node(leader),
+                Message::Suggest {
+                    view,
+                    data: SuggestData { vote2: fake, prev_vote2: None, vote3: fake },
+                },
+            ));
+            out.push((Dest::All, Message::ViewChange { view }));
         },
     )
 }

@@ -5,7 +5,7 @@
 //! * a **Byzantine strategy composition** per faulty node — equivocation,
 //!   selective silence toward a sampled subset, view-skewed vote replay,
 //!   value spam, or random compositions thereof, assembled from the
-//!   composable [`Behavior`](tetrabft_sim::Behavior)s in `tetrabft-sim`;
+//!   attack catalogue in [`behaviors`];
 //! * a **random [`LinkPlan`](tetrabft_sim::LinkPlan)** — delay/jitter/loss
 //!   matrices plus scripted partition windows;
 //!
@@ -45,7 +45,7 @@
 #![warn(missing_docs)]
 
 mod audit;
-mod behaviors;
+pub mod behaviors;
 mod campaign;
 mod scenario;
 mod shrink;

@@ -275,7 +275,8 @@ impl Scenario {
         let silenced = Self::silence_set(spec);
         if spec.attacks.iter().all(|a| matches!(a, Attack::SilenceToward(_))) {
             let input = Value::from_u64(100 + u64::from(id.0));
-            return Box::new(FilteredNode::new(TetraNode::new(cfg, params, id, input), silenced));
+            let keep = move |to: NodeId, _: &Message| to == id || !silenced.contains(&to);
+            return Box::new(FilteredNode::new(TetraNode::new(cfg, params, id, input), keep));
         }
         let mut actor: ByzantineActor<Message, Value> = ByzantineActor::new();
         let mut tick: Option<u64> = None;
@@ -316,7 +317,8 @@ impl Scenario {
         }
         let silenced = Self::silence_set(spec);
         if spec.attacks.iter().all(|a| matches!(a, Attack::SilenceToward(_))) {
-            return Box::new(FilteredNode::new(MultiShotNode::new(cfg, params, id), silenced));
+            let keep = move |to: NodeId, _: &MsMessage| to == id || !silenced.contains(&to);
+            return Box::new(FilteredNode::new(MultiShotNode::new(cfg, params, id), keep));
         }
         let mut actor: ByzantineActor<MsMessage, tetrabft_multishot::Finalized> =
             ByzantineActor::new();

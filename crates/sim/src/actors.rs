@@ -1,5 +1,12 @@
-//! Generic actors for fault injection: crashed nodes, closure-driven
-//! strategies, and composable Byzantine behaviors for the adversary fuzzer.
+//! The three ways to build a faulty replica:
+//!
+//! * [`SilentNode`] — a crash: the node never sends anything;
+//! * [`ByzantineActor`] composed of [`Behavior`]s — a Byzantine replica
+//!   that says whatever its behaviors push (the protocol-speaking attack
+//!   catalogue lives in `tetrabft-fuzz`'s `behaviors` module);
+//! * [`FilteredNode`] — an honest state machine whose sends are cut by a
+//!   per-send predicate (selective silence, a withheld message kind, a
+//!   crash after some view).
 
 use std::marker::PhantomData;
 
@@ -37,50 +44,6 @@ impl<M: WireSize + Clone, O> Node for SilentNode<M, O> {
     type Msg = M;
     type Output = O;
     fn handle(&mut self, _input: Input<M>, _ctx: &mut Context<'_, M, O>) {}
-}
-
-/// A node driven by a closure — the building block for protocol-specific
-/// Byzantine strategies (equivocators, value spammers, stale-view replayers).
-///
-/// # Examples
-///
-/// A node that echoes every message back to its sender:
-///
-/// ```
-/// use tetrabft_sim::{FnNode, Input};
-///
-/// # #[derive(Clone)] struct M;
-/// # impl tetrabft_sim::WireSize for M { fn wire_size(&self) -> usize { 1 } }
-/// let echo = FnNode::<M, (), _>::new(|input, ctx| {
-///     if let Input::Deliver { from, msg } = input {
-///         ctx.send(from, msg);
-///     }
-/// });
-/// ```
-pub struct FnNode<M, O, F> {
-    f: F,
-    _marker: PhantomData<fn() -> (M, O)>,
-}
-
-impl<M, O, F> FnNode<M, O, F>
-where
-    F: FnMut(Input<M>, &mut Context<'_, M, O>),
-{
-    /// Wraps `f` as a node.
-    pub fn new(f: F) -> Self {
-        FnNode { f, _marker: PhantomData }
-    }
-}
-
-impl<M: WireSize + Clone, O, F> Node for FnNode<M, O, F>
-where
-    F: FnMut(Input<M>, &mut Context<'_, M, O>),
-{
-    type Msg = M;
-    type Output = O;
-    fn handle(&mut self, input: Input<M>, ctx: &mut Context<'_, M, O>) {
-        (self.f)(input, ctx)
-    }
 }
 
 /// Environment snapshot handed to a [`Behavior`]: who the Byzantine node is,
@@ -298,26 +261,44 @@ impl<M: WireSize + Clone, O> Node for ByzantineActor<M, O> {
     }
 }
 
-/// Wraps an honest node, silently dropping its outbound traffic toward a
-/// set of targets — selective silence over an otherwise *correct* protocol
-/// participant (it looks crashed to the targets and honest to everyone
-/// else, the classic quorum-splitting adversary).
+/// Wraps an honest node and cuts its sends with a per-send predicate: a
+/// send to `to` of `msg` goes out only if `keep(to, &msg)` holds.
 ///
+/// This is the one way to build a faulty replica on top of a correct one:
+/// selective silence toward some peers (it looks crashed to them and honest
+/// to everyone else), a withheld message kind, or a crash after some view.
 /// The inner node runs against a buffered [`Context`]; the wrapper replays
-/// every recorded action, filtering sends. `Dest::All` broadcasts are
-/// expanded per node so individual targets can be dropped; the node's own
-/// loopback delivery is always preserved (silencing must not corrupt the
-/// inner node's own state).
-pub struct FilteredNode<N: Node> {
+/// every recorded action, filtering sends. A `Dest::All` broadcast is
+/// expanded into one send per node in order `0..n`, the order in which the
+/// simulator routes a broadcast, so an all-pass predicate leaves traces,
+/// metrics and RNG draws unchanged. The predicate sees every destination,
+/// the node's own loopback included; keep `to == me` in the predicate when
+/// the cut must not reach the inner node's own state. Timers, outputs,
+/// [`Node::persist`] and [`Node::incarnation`] pass through untouched.
+///
+/// # Examples
+///
+/// Selective silence toward node 2, keeping the node's own loopback:
+///
+/// ```
+/// use tetrabft_sim::{FilteredNode, SilentNode};
+/// use tetrabft_types::NodeId;
+///
+/// # #[derive(Clone)] struct M;
+/// # impl tetrabft_sim::WireSize for M { fn wire_size(&self) -> usize { 1 } }
+/// let me = NodeId(0);
+/// let honest = SilentNode::<M, ()>::new(); // stands in for a protocol node
+/// let _split = FilteredNode::new(honest, move |to, _msg: &M| to == me || to != NodeId(2));
+/// ```
+pub struct FilteredNode<N, F> {
     inner: N,
-    silenced: Vec<NodeId>,
-    buf: ActionBuf<N::Msg, N::Output>,
+    keep: F,
 }
 
-impl<N: Node> FilteredNode<N> {
-    /// Wraps `inner`, dropping its sends toward `silenced`.
-    pub fn new(inner: N, silenced: impl IntoIterator<Item = NodeId>) -> Self {
-        FilteredNode { inner, silenced: silenced.into_iter().collect(), buf: ActionBuf::new() }
+impl<N: Node, F: FnMut(NodeId, &N::Msg) -> bool> FilteredNode<N, F> {
+    /// Wraps `inner`, dropping every send for which `keep` returns false.
+    pub fn new(inner: N, keep: F) -> Self {
+        FilteredNode { inner, keep }
     }
 
     /// The wrapped node.
@@ -326,27 +307,27 @@ impl<N: Node> FilteredNode<N> {
     }
 }
 
-impl<N: Node> Node for FilteredNode<N> {
+impl<N: Node, F: FnMut(NodeId, &N::Msg) -> bool> Node for FilteredNode<N, F> {
     type Msg = N::Msg;
     type Output = N::Output;
 
     fn handle(&mut self, input: Input<N::Msg>, ctx: &mut Context<'_, N::Msg, N::Output>) {
-        self.buf.clear();
-        let mut inner_ctx = Context::buffered(ctx.me(), ctx.n(), ctx.now(), &mut self.buf);
-        self.inner.handle(input, &mut inner_ctx);
-        for action in std::mem::take(&mut self.buf) {
+        let mut buf: ActionBuf<N::Msg, N::Output> = ActionBuf::new();
+        {
+            let mut inner_ctx = Context::buffered(ctx.me(), ctx.n(), ctx.now(), &mut buf);
+            self.inner.handle(input, &mut inner_ctx);
+        }
+        for action in buf {
             match action {
                 Action::Send { dest: Dest::All, msg } => {
-                    for i in 0..ctx.n() as u16 {
-                        let to = NodeId(i);
-                        if to != ctx.me() && self.silenced.contains(&to) {
-                            continue;
+                    for to in (0..ctx.n() as u16).map(NodeId) {
+                        if (self.keep)(to, &msg) {
+                            ctx.send(to, msg.clone());
                         }
-                        ctx.send(to, msg.clone());
                     }
                 }
                 Action::Send { dest: Dest::Node(to), msg } => {
-                    if to == ctx.me() || !self.silenced.contains(&to) {
+                    if (self.keep)(to, &msg) {
                         ctx.send(to, msg);
                     }
                 }
@@ -385,14 +366,18 @@ mod tests {
         buf.into_iter().collect()
     }
 
-    fn sent_to(actions: &[Action<M, ()>]) -> Vec<u16> {
+    fn sends(actions: &[Action<M, ()>]) -> Vec<(u16, M)> {
         actions
             .iter()
             .filter_map(|a| match a {
-                Action::Send { dest: Dest::Node(to), .. } => Some(to.0),
+                Action::Send { dest: Dest::Node(to), msg } => Some((to.0, *msg)),
                 _ => None,
             })
             .collect()
+    }
+
+    fn sent_to(actions: &[Action<M, ()>]) -> Vec<u16> {
+        sends(actions).into_iter().map(|(to, _)| to).collect()
     }
 
     #[test]
@@ -433,24 +418,69 @@ mod tests {
         assert!(matches!(actions[..], [Action::SetTimer { id: BYZ_TICK, after: 50 }]));
     }
 
+    /// A correct node to wrap: on `Start` it broadcasts `M(1)` and `M(2)`
+    /// and arms a timer, on every delivery it sends `M(2)` to node 2, and
+    /// it counts its `persist` calls.
+    #[derive(Default)]
+    struct Probe {
+        persisted: u32,
+    }
+
+    impl Node for Probe {
+        type Msg = M;
+        type Output = ();
+        fn handle(&mut self, input: Input<M>, ctx: &mut Context<'_, M, ()>) {
+            match input {
+                Input::Start => {
+                    ctx.broadcast(M(1));
+                    ctx.broadcast(M(2));
+                    ctx.set_timer(TimerId(9), 10);
+                }
+                Input::Deliver { .. } => ctx.send(NodeId(2), M(2)),
+                Input::Timer { .. } => {}
+            }
+        }
+        fn persist(&mut self) {
+            self.persisted += 1;
+        }
+        fn incarnation(&self) -> u64 {
+            7
+        }
+    }
+
     #[test]
     fn filtered_node_drops_only_silenced_targets() {
-        // An inner node that broadcasts on Start, sends to 2 on Deliver,
-        // and keeps a timer armed.
-        let inner = FnNode::<M, (), _>::new(|input, ctx| match input {
-            Input::Start => {
-                ctx.broadcast(M(1));
-                ctx.set_timer(TimerId(9), 10);
-            }
-            Input::Deliver { .. } => ctx.send(NodeId(2), M(2)),
-            _ => {}
-        });
-        let mut node = FilteredNode::new(inner, [NodeId(2)]);
+        // The fuzzer's selective silence: everyone but node 2, and always
+        // the node's own loopback.
+        let me = NodeId(0);
+        let mut node =
+            FilteredNode::new(Probe::default(), move |to, _: &M| to == me || to != NodeId(2));
         let actions = drive(&mut node, Input::Start);
-        // Broadcast expands to 0 (self, kept), 1, 3 — 2 is silenced.
-        assert_eq!(sent_to(&actions), vec![0, 1, 3]);
+        // Each broadcast expands to 0 (self, kept), 1, 3 — 2 is silenced.
+        assert_eq!(sent_to(&actions), vec![0, 1, 3, 0, 1, 3]);
         assert!(actions.iter().any(|a| matches!(a, Action::SetTimer { id: TimerId(9), .. })));
         let actions = drive(&mut node, Input::Deliver { from: NodeId(1), msg: M(0) });
         assert!(sent_to(&actions).is_empty(), "direct send to silenced target dropped");
+    }
+
+    #[test]
+    fn filtered_node_drops_one_kind_everywhere_including_loopback() {
+        let mut node = FilteredNode::new(Probe::default(), |_, msg: &M| *msg != M(1));
+        let actions = drive(&mut node, Input::Start);
+        // Every M(1) is gone, the loopback copy to node 0 included; every
+        // M(2) goes out, in broadcast order 0..n.
+        assert_eq!(sends(&actions), vec![(0, M(2)), (1, M(2)), (2, M(2)), (3, M(2))]);
+        assert!(actions.iter().any(|a| matches!(a, Action::SetTimer { id: TimerId(9), .. })));
+        let actions = drive(&mut node, Input::Deliver { from: NodeId(1), msg: M(0) });
+        assert_eq!(sends(&actions), vec![(2, M(2))]);
+    }
+
+    #[test]
+    fn filtered_node_forwards_persist_and_incarnation() {
+        let mut node = FilteredNode::new(Probe::default(), |_, _: &M| false);
+        node.persist();
+        node.persist();
+        assert_eq!(node.inner().persisted, 2);
+        assert_eq!(node.incarnation(), 7);
     }
 }

@@ -23,6 +23,12 @@
 //! window cutting every edge until GST: a lossy one for the paper's
 //! pre-GST loss, a holding one for pure delay.
 //!
+//! A faulty replica is built one of three ways: [`SilentNode`] for a crash,
+//! a [`ByzantineActor`] composed of [`Behavior`]s for a Byzantine replica
+//! (`tetrabft-fuzz`'s `behaviors` module is the protocol-speaking attack
+//! catalogue), or a [`FilteredNode`] for an honest state machine whose
+//! sends a per-send predicate cuts.
+//!
 //! Latency accounting: under the default plan,
 //! `LinkPlan::uniform(EdgeSpec::delay(1))`, every network hop costs one
 //! tick, so a decision at tick `k` means the protocol used `k` *message
@@ -76,7 +82,7 @@ mod runner;
 mod trace;
 
 pub use actors::{
-    Behavior, BehaviorEnv, ByzantineActor, FilteredNode, FnBehavior, FnNode, SilentNode, BYZ_TICK,
+    Behavior, BehaviorEnv, ByzantineActor, FilteredNode, FnBehavior, SilentNode, BYZ_TICK,
     DEFAULT_BYZ_BUDGET,
 };
 pub use metrics::{KindMetrics, Metrics, NodeMetrics};

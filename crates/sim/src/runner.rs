@@ -388,10 +388,39 @@ impl<M: WireSize + Clone, O> Sim<M, O> {
 
 #[cfg(test)]
 mod tests {
+    use std::marker::PhantomData;
+
     use super::*;
-    use crate::actors::{FnNode, SilentNode};
+    use crate::actors::SilentNode;
     use crate::plan::PartitionWindow;
-    use tetrabft_engine::Input;
+    use tetrabft_engine::{Context, Input};
+
+    /// A node driven by a closure: the scaffolding these runner tests
+    /// script their toy protocols with.
+    struct FnNode<M, O, F> {
+        f: F,
+        _marker: PhantomData<fn() -> (M, O)>,
+    }
+
+    impl<M, O, F> FnNode<M, O, F>
+    where
+        F: FnMut(Input<M>, &mut Context<'_, M, O>),
+    {
+        fn new(f: F) -> Self {
+            FnNode { f, _marker: PhantomData }
+        }
+    }
+
+    impl<M: WireSize + Clone, O, F> Node for FnNode<M, O, F>
+    where
+        F: FnMut(Input<M>, &mut Context<'_, M, O>),
+    {
+        type Msg = M;
+        type Output = O;
+        fn handle(&mut self, input: Input<M>, ctx: &mut Context<'_, M, O>) {
+            (self.f)(input, ctx)
+        }
+    }
 
     #[derive(Clone, Debug, PartialEq)]
     struct Msg(u64);

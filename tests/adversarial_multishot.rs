@@ -5,7 +5,8 @@
 use tetrabft::Params;
 use tetrabft_multishot::{Block, Finalized, MsMessage, MultiShotNode};
 use tetrabft_sim::{
-    Context, Cut, EdgeSpec, Input, LinkPlan, Node, PartitionWindow, Sim, SimBuilder, Time,
+    BehaviorEnv, ByzantineActor, Cut, Dest, EdgeSpec, FilteredNode, FnBehavior, Input, LinkPlan,
+    PartitionWindow, Sim, SimBuilder, Time,
 };
 use tetrabft_types::{Config, NodeId, Slot, View};
 
@@ -31,40 +32,29 @@ fn assert_no_fork(sim: &Sim<MsMessage, Finalized>, honest: &[u16]) {
     }
 }
 
-/// A Byzantine block producer: whenever it would lead a slot at view 0 it
-/// sends *different* blocks to different halves of the network, trying to
-/// split notarization.
-struct EquivocatingProducer {
-    cfg: Config,
-    me: NodeId,
-}
-
-impl Node for EquivocatingProducer {
-    type Msg = MsMessage;
-    type Output = Finalized;
-
-    fn handle(&mut self, input: Input<MsMessage>, ctx: &mut Context<'_, MsMessage, Finalized>) {
-        // React to any proposal for slot s−1 by equivocating on slot s when
-        // we lead it.
-        let Input::Deliver { from, msg } = input else { return };
-        if from == ctx.me() {
-            return;
-        }
-        if let MsMessage::Proposal { view, block } = msg {
+/// A Byzantine block producer: whenever it leads slot s at view 0 and
+/// hears the proposal for slot s−1, it sends *different* blocks for s to
+/// different halves of the network, trying to split notarization.
+fn equivocating_producer(cfg: Config) -> ByzantineActor<MsMessage, Finalized> {
+    let equivocate =
+        FnBehavior::new(move |input: &Input<MsMessage>, env: &BehaviorEnv, out: &mut Vec<_>| {
+            let Input::Deliver { msg: MsMessage::Proposal { view, block }, .. } = input else {
+                return;
+            };
             let next = Slot(block.slot.0 + 1);
-            if MultiShotNode::leader_of(&self.cfg, next, View(0)) != self.me || !view.is_zero() {
+            if MultiShotNode::leader_of(&cfg, next, View(0)) != env.me || !view.is_zero() {
                 return;
             }
             let parent = block.hash();
             let block_a = Block::new(next, parent, vec![b"left".to_vec()]);
             let block_b = Block::new(next, parent, vec![b"right".to_vec()]);
-            let half = self.cfg.n() / 2;
-            for peer in self.cfg.nodes() {
-                let block = if peer.index() < half { block_a.clone() } else { block_b.clone() };
-                ctx.send(peer, MsMessage::Proposal { view: View(0), block });
+            for peer in cfg.nodes() {
+                let block =
+                    if peer.index() < env.n / 2 { block_a.clone() } else { block_b.clone() };
+                out.push((Dest::Node(peer), MsMessage::Proposal { view: View(0), block }));
             }
-        }
-    }
+        });
+    ByzantineActor::new().with_behavior(equivocate).with_budget(u64::MAX)
 }
 
 #[test]
@@ -72,7 +62,7 @@ fn equivocating_block_producer_cannot_fork_the_chain() {
     let cfg = Config::new(4).unwrap();
     let mut sim = SimBuilder::new(4).build_boxed(|id| {
         if id == NodeId(1) {
-            Box::new(EquivocatingProducer { cfg, me: id })
+            Box::new(equivocating_producer(cfg))
         } else {
             Box::new(MultiShotNode::new(cfg, Params::new(5), id))
         }
@@ -89,47 +79,20 @@ fn equivocating_block_producer_cannot_fork_the_chain() {
     assert!(tip >= 10, "the chain must survive the split attempts, tip={tip}");
 }
 
-/// A node that participates but never votes — starves quorums by exactly
-/// one vote whenever another node is down. With only this withholder
-/// faulty, the chain must still grow (3 of 4 vote).
-struct VoteWithholder {
-    inner: MultiShotNode,
-}
-
-impl Node for VoteWithholder {
-    type Msg = MsMessage;
-    type Output = Finalized;
-
-    fn handle(&mut self, input: Input<MsMessage>, ctx: &mut Context<'_, MsMessage, Finalized>) {
-        use tetrabft_sim::{Action, ActionBuf, Dest};
-        let mut buf: ActionBuf<MsMessage, Finalized> = ActionBuf::new();
-        {
-            let mut inner_ctx = Context::buffered(ctx.me(), ctx.n(), ctx.now(), &mut buf);
-            self.inner.handle(input, &mut inner_ctx);
-        }
-        for action in buf {
-            match action {
-                Action::Send { msg: MsMessage::Vote { .. }, .. } => {} // withheld
-                Action::Send { dest, msg } => match dest {
-                    Dest::All => ctx.broadcast(msg),
-                    Dest::Node(to) => ctx.send(to, msg),
-                },
-                Action::SetTimer { id, after } => ctx.set_timer(id, after),
-                Action::CancelTimer { id } => ctx.cancel_timer(id),
-                Action::Output(out) => ctx.output(out),
-            }
-        }
-    }
-}
-
 #[test]
 fn vote_withholding_slows_but_does_not_stop_the_chain() {
+    // Node 3 participates but never votes: it starves quorums by exactly
+    // one vote whenever another node is down. With only this withholder
+    // faulty, the chain must still grow (3 of 4 vote).
     let cfg = Config::new(4).unwrap();
     let mut sim = SimBuilder::new(4).build_boxed(|id| {
+        let node = MultiShotNode::new(cfg, Params::new(5), id);
         if id == NodeId(3) {
-            Box::new(VoteWithholder { inner: MultiShotNode::new(cfg, Params::new(5), id) })
+            Box::new(FilteredNode::new(node, |_, m: &MsMessage| {
+                !matches!(m, MsMessage::Vote { .. })
+            }))
         } else {
-            Box::new(MultiShotNode::new(cfg, Params::new(5), id))
+            Box::new(node)
         }
     });
     sim.run_until(Time(600));

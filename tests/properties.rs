@@ -4,8 +4,9 @@
 
 use proptest::prelude::*;
 
-use tetrabft::strategies::{EquivocatingLeader, LyingHistorian, StaleReplayer, VoteAmplifier};
+use tetrabft_fuzz::behaviors;
 use tetrabft_suite::prelude::*;
+use tetrabft_suite::sim::{Behavior, ByzantineActor, SilentNode};
 use tetrabft_types::NodeId;
 
 #[derive(Debug, Clone, Copy)]
@@ -27,15 +28,18 @@ fn arb_adversary() -> impl Strategy<Value = Adversary> {
     ]
 }
 
-fn byz_node(kind: Adversary, cfg: Config) -> Box<dyn Node<Msg = Message, Output = Value>> {
+fn byz_node(kind: Adversary) -> Box<dyn Node<Msg = Message, Output = Value>> {
+    fn attacker(
+        behavior: impl Behavior<Message> + 'static,
+    ) -> Box<dyn Node<Msg = Message, Output = Value>> {
+        Box::new(ByzantineActor::new().with_behavior(behavior).with_budget(u64::MAX))
+    }
     match kind {
-        Adversary::Silent => Box::new(tetrabft_suite::sim::SilentNode::new()),
-        Adversary::Equivocator => {
-            Box::new(EquivocatingLeader::new(cfg, Value::from_u64(1), Value::from_u64(2)))
-        }
-        Adversary::Liar => Box::new(LyingHistorian::new(cfg, Value::from_u64(13))),
-        Adversary::Amplifier => Box::new(VoteAmplifier::new()),
-        Adversary::Replayer => Box::new(StaleReplayer),
+        Adversary::Silent => Box::new(SilentNode::new()),
+        Adversary::Equivocator => attacker(behaviors::equivocator(1)),
+        Adversary::Liar => attacker(behaviors::lying_historian(Value::from_u64(13))),
+        Adversary::Amplifier => attacker(behaviors::vote_amplifier()),
+        Adversary::Replayer => attacker(behaviors::stale_replayer()),
     }
 }
 
@@ -57,7 +61,7 @@ proptest! {
             .plan(&LinkPlan::uniform(EdgeSpec::delay(1).with_jitter(jitter_max - 1)))
             .build_boxed(move |id| {
                 if id.0 == byz_pos {
-                    byz_node(adversary, cfg)
+                    byz_node(adversary)
                 } else {
                     Box::new(TetraNode::new(
                         cfg,
@@ -86,7 +90,7 @@ proptest! {
             .plan(&LinkPlan::uniform(EdgeSpec::delay(1).with_jitter(jitter_max - 1)))
             .build_boxed(move |id| {
                 if Some(id.0) == dead {
-                    Box::new(tetrabft_suite::sim::SilentNode::new())
+                    Box::new(SilentNode::new())
                 } else {
                     Box::new(MultiShotNode::new(cfg, Params::new(15 + jitter_max), id))
                 }

@@ -1,9 +1,12 @@
 //! Cross-crate integration tests: Basic TetraBFT under the simulator, at
 //! several system sizes, fault placements, and network regimes.
 
-use tetrabft::strategies::{EquivocatingLeader, LyingHistorian, VoteAmplifier};
+use tetrabft_fuzz::behaviors;
 use tetrabft_suite::prelude::*;
+use tetrabft_suite::sim::{Behavior, ByzantineActor, FilteredNode};
 use tetrabft_types::NodeId;
+
+type DynNode = Box<dyn Node<Msg = Message, Output = Value>>;
 
 fn honest(cfg: Config, delta: u64) -> impl Fn(NodeId) -> TetraNode {
     move |id| TetraNode::new(cfg, Params::new(delta), id, Value::from_u64(u64::from(id.0) + 1))
@@ -16,6 +19,91 @@ fn assert_agreement(sim: &Sim<Message, Value>) {
         "agreement violated: {:?}",
         sim.outputs()
     );
+}
+
+/// An uncapped Byzantine actor running one behavior of the attack catalogue.
+fn attacker(behavior: impl Behavior<Message> + 'static) -> DynNode {
+    Box::new(ByzantineActor::new().with_behavior(behavior).with_budget(u64::MAX))
+}
+
+/// Steps `sim` until every node in `honest` has decided, then asserts that
+/// each of them did and that all honest decisions agree. Outputs of the
+/// faulty nodes are not counted: a faulty node wrapping an honest state
+/// machine can decide too, and must not stand in for an honest one.
+fn assert_honest_decide_and_agree(sim: &mut Sim<Message, Value>, honest: &[NodeId], run: &str) {
+    let decided =
+        |sim: &Sim<Message, Value>, id: NodeId| sim.outputs().iter().any(|o| o.node == id);
+    let mut steps = 0u64;
+    while !honest.iter().all(|&id| decided(sim, id)) && steps < 10_000_000 && sim.step() {
+        steps += 1;
+    }
+    for &id in honest {
+        assert!(decided(sim, id), "honest node {} must decide ({run})", id.0);
+    }
+    let mut decisions = sim.outputs().iter().filter(|o| honest.contains(&o.node));
+    let first = decisions.next().expect("an honest decision").output;
+    assert!(
+        decisions.all(|o| o.output == first),
+        "agreement violated ({run}): {:?}",
+        sim.outputs()
+    );
+}
+
+/// Runs n = 4 with one faulty node at position 0 (the leader of view 0)
+/// under five seeds of jitter, and asserts that the three honest nodes all
+/// decide and agree.
+fn assert_one_faulty_leader_cannot_break_agreement(byz: impl Fn(Config) -> DynNode) {
+    let cfg = Config::new(4).unwrap();
+    let honest = [NodeId(1), NodeId(2), NodeId(3)];
+    for seed in 0..5 {
+        let mut sim = SimBuilder::new(4)
+            .seed(seed)
+            .plan(&LinkPlan::uniform(EdgeSpec::delay(1).with_jitter(3)))
+            .build_boxed(|id| {
+                if id == NodeId(0) {
+                    byz(cfg)
+                } else {
+                    Box::new(TetraNode::new(
+                        cfg,
+                        Params::new(20),
+                        id,
+                        Value::from_u64(100 + u64::from(id.0)),
+                    ))
+                }
+            });
+        assert_honest_decide_and_agree(&mut sim, &honest, &format!("seed {seed}"));
+    }
+}
+
+#[test]
+fn equivocating_leader_cannot_split_agreement() {
+    assert_one_faulty_leader_cannot_break_agreement(|_| attacker(behaviors::equivocator(1)));
+}
+
+#[test]
+fn vote_amplifier_cannot_break_agreement() {
+    assert_one_faulty_leader_cannot_break_agreement(|_| attacker(behaviors::vote_amplifier()));
+}
+
+#[test]
+fn lying_historian_cannot_break_agreement() {
+    assert_one_faulty_leader_cannot_break_agreement(|_| {
+        attacker(behaviors::lying_historian(Value::from_u64(666)))
+    });
+}
+
+#[test]
+fn stale_replayer_cannot_break_agreement() {
+    assert_one_faulty_leader_cannot_break_agreement(|_| attacker(behaviors::stale_replayer()));
+}
+
+#[test]
+fn late_crash_cannot_break_agreement() {
+    // An honest node that goes silent after view 0.
+    assert_one_faulty_leader_cannot_break_agreement(|cfg| {
+        let inner = TetraNode::new(cfg, Params::new(20), NodeId(0), Value::from_u64(5));
+        Box::new(FilteredNode::new(inner, |_, msg: &Message| msg.view() <= View(0)))
+    });
 }
 
 #[test]
@@ -86,13 +174,9 @@ fn mixed_adversaries_at_the_fault_budget() {
             .seed(seed)
             .plan(&LinkPlan::uniform(EdgeSpec::delay(1).with_jitter(4)))
             .build_boxed(move |id| match id.0 {
-                0 => Box::new(EquivocatingLeader::new(
-                    cfg,
-                    Value::from_u64(111),
-                    Value::from_u64(222),
-                )),
-                4 => Box::new(LyingHistorian::new(cfg, Value::from_u64(333))),
-                7 => Box::new(VoteAmplifier::new()),
+                0 => attacker(behaviors::equivocator(111)),
+                4 => attacker(behaviors::lying_historian(Value::from_u64(333))),
+                7 => attacker(behaviors::vote_amplifier()),
                 _ => Box::new(TetraNode::new(
                     cfg,
                     Params::new(25),
@@ -100,8 +184,9 @@ fn mixed_adversaries_at_the_fault_budget() {
                     Value::from_u64(u64::from(id.0)),
                 )),
             });
-        assert!(sim.run_until_outputs(n - 3, 50_000_000), "seed {seed}");
-        assert_agreement(&sim);
+        let honest: Vec<NodeId> =
+            (0..n as u16).filter(|i| ![0, 4, 7].contains(i)).map(NodeId).collect();
+        assert_honest_decide_and_agree(&mut sim, &honest, &format!("seed {seed}"));
     }
 }
 
